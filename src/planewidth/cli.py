@@ -67,15 +67,32 @@ def cmd_gen(args):
 
 
 def _read_angles(path, n):
-    angles = [0.0] * n
+    """One finite ``<vertex> <angle>`` line for each of the n vertices."""
+    angles = {}
     with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
+        for lineno, line in enumerate(fh, 1):
+            tok = line.partition("#")[0].split()
+            if not tok:
                 continue
-            v, a = line.split()
-            angles[int(v)] = float(a)
-    return angles
+            try:
+                v, a = tok
+                v, a = int(v), float(a)
+            except ValueError:
+                raise ParameterError(
+                    "angles line %d: expected '<vertex> <angle>', got %r"
+                    % (lineno, " ".join(tok))) from None
+            if not 0 <= v < n:
+                raise ParameterError("angles line %d: vertex %d out of range "
+                                     "for n=%d" % (lineno, v, n))
+            if not math.isfinite(a):
+                raise ParameterError("angles line %d: angle of vertex %d is "
+                                     "not finite" % (lineno, v))
+            angles[v] = a
+    missing = [v for v in range(n) if v not in angles]
+    if missing:
+        raise ParameterError("angles file gives no angle for vertex %d"
+                             % missing[0])
+    return [angles[v] for v in range(n)]
 
 
 def cmd_bounds(args):

@@ -31,30 +31,43 @@ LINF = NormSpec(INF, 2)
 LINE = NormSpec(2.0, 1)
 
 
-def distance(a, b, norm=L2):
-    d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
-    if norm.p == INF:
-        return float(d.max())
+def _lengths(diff, norm):
+    """Reduce a (..., dim) difference array to (...) lengths under norm."""
     if norm.p == 2.0:
-        return float(np.sqrt((d * d).sum()))
+        return np.sqrt((diff * diff).sum(axis=-1))
+    d = np.abs(diff)
+    if norm.p == INF:
+        return d.max(axis=-1)
     if norm.p == 1.0:
-        return float(d.sum())
-    return float((d ** norm.p).sum() ** (1.0 / norm.p))
+        return d.sum(axis=-1)
+    return np.power((d ** norm.p).sum(axis=-1), 1.0 / norm.p)
+
+
+def _as_points(pts):
+    pts = np.asarray(pts, dtype=float)
+    return pts[:, None] if pts.ndim == 1 else pts
+
+
+def distance(a, b, norm=L2):
+    diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    return float(_lengths(np.atleast_1d(diff), norm))
 
 
 def pairwise_distances(pts, norm=L2):
     """Full (n, n) distance matrix."""
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    d = np.abs(pts[:, None, :] - pts[None, :, :])
-    if norm.p == INF:
-        return d.max(axis=2)
-    if norm.p == 2.0:
-        return np.sqrt((d * d).sum(axis=2))
-    if norm.p == 1.0:
-        return d.sum(axis=2)
-    return (d ** norm.p).sum(axis=2) ** (1.0 / norm.p)
+    pts = _as_points(pts)
+    return _lengths(pts[:, None, :] - pts[None, :, :], norm)
+
+
+def edge_lengths(pts, edges, norm=L2):
+    """Lengths of the index pairs in the (m, 2) array ``edges``.
+
+    Row k is ``distance(pts[u], pts[v], norm)`` for ``(u, v) = edges[k]``,
+    bit for bit.  For p not in {1, 2, inf} the final root is numpy's array
+    ``power``; a scalar ``pow`` of the same sum may differ from it by 1 ulp.
+    """
+    pts = _as_points(pts)
+    return _lengths(pts[edges[:, 0]] - pts[edges[:, 1]], norm)
 
 
 def convex_hull(pts):
@@ -109,9 +122,7 @@ def _diameter_calipers(pts):
 
 def diameter(pts, norm=L2):
     """Max pairwise distance and one achieving index pair."""
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = _as_points(pts)
     n = len(pts)
     if n == 0:
         raise ValueError("diameter of empty set")
@@ -199,9 +210,7 @@ def pal_hexagon(pts, tol=1e-9):
     found by bisecting the slab-offset mismatch on [0, 60deg], then the width
     is enlarged by any residual containment defect (at most ~1e-12).
     """
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = _as_points(pts)
     if len(pts) == 0:
         raise ValueError("empty point set")
     if len(pts) == 1:

@@ -6,8 +6,12 @@ sorted pairs, so graphs are hashable immutable values.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -22,15 +26,17 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ParameterError("vertex count must be nonnegative")
-        norm = set()
-        for e in self.edges:
-            u, v = e
-            if u == v:
+        n = self.n
+        pairs = {(u, v) if u < v else (v, u) for u, v in self.edges}
+        bad = [e for e in pairs if not 0 <= e[0] < e[1] < n]
+        if bad:
+            e = min(bad)
+            if e[0] == e[1]:
                 raise ParameterError("self-loop %r" % (e,))
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ParameterError("edge %r out of range for n=%d" % (e, self.n))
-            norm.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "edges", frozenset(norm))
+            raise ParameterError("edge %r out of range for n=%d" % (e, n))
+        # copied from a set, the frozenset's table is sized to fit; built
+        # from any other iterable it can end up twice as large
+        object.__setattr__(self, "edges", frozenset(pairs))
 
     @property
     def m(self):
@@ -53,9 +59,21 @@ class Graph:
     def sorted_edges(self):
         return sorted(self.edges)
 
+    @functools.cached_property
+    def edge_array(self):
+        """The edges as a read-only (m, 2) intp array, rows in sorted order.
+
+        Cached in the instance ``__dict__`` (the frozen dataclass has no slots).
+        """
+        flat = np.fromiter(itertools.chain.from_iterable(self.edges),
+                           dtype=np.intp, count=2 * self.m).reshape(-1, 2)
+        arr = flat[np.lexsort((flat[:, 1], flat[:, 0]))]
+        arr.flags.writeable = False
+        return arr
+
 
 def graph_from_edges(n, pairs):
-    return Graph(n, frozenset((min(u, v), max(u, v)) for u, v in pairs))
+    return Graph(n, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -289,20 +307,33 @@ def write_edge_list(g, path):
 
 
 def read_edge_list(path):
-    n = 0
+    """Read an edge list: ``n <count>`` and ``<u> <v>`` lines, ``#`` comments.
+
+    A lone ``<count>`` is accepted on the first data line only.  The vertex
+    count is the largest count given or one past the largest endpoint.
+    """
+    count = 0
     pairs = []
+    first = True
     with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
+        for lineno, line in enumerate(fh, 1):
+            tok = line.partition("#")[0].split()
+            if not tok:
                 continue
-            tok = line.split()
-            if tok[0] == "n":
-                n = max(n, int(tok[1]))
-                continue
-            u, v = int(tok[0]), int(tok[1])
-            pairs.append((u, v))
-            n = max(n, u + 1, v + 1)
+            try:
+                if tok[0] == "n" and len(tok) == 2:
+                    count = max(count, int(tok[1]))
+                elif len(tok) == 1 and first:
+                    count = int(tok[0])
+                else:
+                    u, v = tok
+                    pairs.append((int(u), int(v)))
+            except ValueError:
+                raise ParameterError(
+                    "line %d: expected 'n <count>' or '<u> <v>', got %r"
+                    % (lineno, " ".join(tok))) from None
+            first = False
+    n = max(count, max(map(max, pairs)) + 1) if pairs else count
     return graph_from_edges(n, pairs)
 
 

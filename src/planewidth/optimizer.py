@@ -153,7 +153,7 @@ def optimize(g, cfg=None):
         cfg = OptimizeConfig()
     if g.m == 0:
         raise ParameterError("optimization needs at least one edge")
-    edge_index = np.array(g.sorted_edges(), dtype=int)
+    edge_index = g.edge_array
     p = _descent_p(cfg.norm)
     chi_greedy = greedy_dsatur(g).k
     box = 1.0 + math.sqrt(chi_greedy)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coloring import check_proper
-from .geometry import INF, L2, LINE, LINF, NormSpec, diameter, distance, \
-    pairwise_distances, pal_hexagon
+from .geometry import INF, L2, LINE, LINF, NormSpec, diameter, \
+    edge_lengths, pal_hexagon
 from .graphs import ParameterError
 
 SQRT2 = math.sqrt(2.0)
@@ -90,23 +90,16 @@ def evaluate(g, r, tol=1e-9):
                              % (r.n, g.n))
     if g.n == 0:
         return Evaluation(0.0, math.inf, True)
-    width, _ = diameter(r.array(), r.norm)
+    arr = r.array()
+    width, _ = diameter(arr, r.norm)
     if g.m == 0:
         return Evaluation(width, math.inf, True)
-    min_d, bad = math.inf, None
-    for u, v in g.sorted_edges():
-        d = distance(r.points[u], r.points[v], r.norm)
-        if d < min_d:
-            min_d = d
-            if d < 1.0 - tol and bad is None:
-                bad = (u, v)
-    # report the first violating edge in sorted order
+    d = edge_lengths(arr, g.edge_array, r.norm)
+    min_d = float(d.min())
     if min_d < 1.0 - tol:
-        for u, v in g.sorted_edges():
-            if distance(r.points[u], r.points[v], r.norm) < 1.0 - tol:
-                bad = (u, v)
-                break
-        return Evaluation(width, min_d, False, bad)
+        # the first violating edge in sorted order
+        u, v = g.edge_array[int(np.argmax(d < 1.0 - tol))]
+        return Evaluation(width, min_d, False, (int(u), int(v)))
     return Evaluation(width, min_d, True)
 
 
@@ -379,6 +372,18 @@ def read_realization(path):
     import json
     with open(path) as fh:
         obj = json.load(fh)
-    p = INF if obj["norm"] == "inf" else float(obj["norm"])
-    norm = NormSpec(p, int(obj["dim"]))
-    return Realization(tuple(tuple(row) for row in obj["points"]), norm)
+    if not isinstance(obj, dict):
+        raise ParameterError("realization file must hold a JSON object")
+    for key in ("norm", "dim", "points"):
+        if key not in obj:
+            raise ParameterError("realization file has no %r key" % key)
+    rows = obj["points"]
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise ParameterError("realization 'points' must be a list of "
+                             "coordinate lists")
+    try:
+        p = INF if obj["norm"] == "inf" else float(obj["norm"])
+        norm = NormSpec(p, int(obj["dim"]))
+        return Realization(tuple(map(tuple, rows)), norm)
+    except TypeError as exc:
+        raise ParameterError("malformed realization: %s" % exc) from None

@@ -204,3 +204,45 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     assert code == 1
     code, _, _ = run(capsys, "frobnicate")
     assert code == 1
+
+
+def write_text(tmp_path, name, text):
+    path = str(tmp_path / name)
+    with open(path, "w") as fh:
+        fh.write(text)
+    return path
+
+
+def assert_input_error(result, *fragments):
+    code, out, err = result
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    for fragment in fragments:
+        assert fragment in err
+
+
+def test_edge_list_bare_count_and_bad_line(capsys, tmp_path):
+    g = write_text(tmp_path, "k3.txt", "3\n0 1\n1 2\n0 2\n")
+    code, out, _ = run(capsys, "bounds", g)
+    assert code == 0 and "upper 1" in out
+    bad = write_text(tmp_path, "bad.txt", "3\n0 1\n1 two\n")
+    assert_input_error(run(capsys, "bounds", bad), "line 3")
+
+
+def test_verify_realization_without_norm(capsys, tmp_path):
+    g = write_text(tmp_path, "k2.txt", "n 2\n0 1\n")
+    r = write_text(tmp_path, "r.json", '{"dim": 2, "points": [[0, 0], [1, 0]]}')
+    assert_input_error(run(capsys, "verify", g, r), "'norm'")
+
+
+@pytest.mark.parametrize("angles, fragments", [
+    ("0 0\n1 2.0943951023931957\n", ["vertex 2"]),
+    ("0 0\n1 2\n2 4\n3 1\n", ["line 4", "vertex 3 out of range"]),
+    ("0 0\n1\n2 4\n", ["line 2"]),
+    ("0 0\n1 2\n2 nan\n", ["line 3", "vertex 2"]),
+])
+def test_bounds_angles_file_errors(capsys, tmp_path, angles, fragments):
+    g = write_text(tmp_path, "k3.txt", "n 3\n0 1\n1 2\n0 2\n")
+    a = write_text(tmp_path, "angles.txt", angles)
+    assert_input_error(run(capsys, "bounds", g, "--angles", a, "--chi-c", "3"),
+                       *fragments)

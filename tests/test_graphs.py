@@ -173,6 +173,33 @@ def test_edge_list_round_trip(tmp_path):
     assert back.n == g.n and back.edges == g.edges
 
 
+def test_edge_list_bare_count_first_line(tmp_path):
+    path = str(tmp_path / "g.txt")
+    with open(path, "w") as fh:
+        fh.write("# header\n5\n0 1\n1 2\n")
+    g = read_edge_list(path)
+    assert g.n == 5 and g.edges == frozenset({(0, 1), (1, 2)})
+    with open(path, "w") as fh:
+        fh.write("2\n0 3\n")
+    assert read_edge_list(path).n == 4
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("0 1\n3\n", 2),              # a lone count only on the first data line
+    ("n 3\n0 1 2\n", 2),
+    ("n 3\n0 x\n", 2),
+    ("# c\nn\n", 2),
+    ("n 3 4\n", 1),
+    ("0 1\n1.5 2\n", 2),
+])
+def test_edge_list_malformed_lines(tmp_path, text, lineno):
+    path = str(tmp_path / "g.txt")
+    with open(path, "w") as fh:
+        fh.write(text)
+    with pytest.raises(ParameterError, match="^line %d: " % lineno):
+        read_edge_list(path)
+
+
 def test_edge_list_comments_and_blanks(tmp_path):
     path = str(tmp_path / "g.txt")
     with open(path, "w") as fh:
@@ -201,3 +228,22 @@ def test_graph_invariants():
         graph_from_edges(3, [(0, 5)])
     g = graph_from_edges(3, [(1, 0), (0, 1)])
     assert g.m == 1
+    assert Graph(4, frozenset({(3, 1), (2, 0)})).edges == {(1, 3), (0, 2)}
+
+
+def test_graph_error_names_smallest_bad_edge():
+    with pytest.raises(ParameterError, match=r"self-loop \(1, 1\)"):
+        Graph(4, [(3, 3), (2, 0), (1, 1), (2, 9)])
+    with pytest.raises(ParameterError, match=r"edge \(-1, 2\) out of range"):
+        Graph(4, [(2, 3), (2, -1), (4, 5)])
+
+
+def test_edge_array_matches_sorted_edges():
+    rng = np.random.default_rng(11)
+    graphs = [complete(7), petersen(), circulant(13, 4), graph_from_edges(3, []),
+              random_graph(rng, 30, 0.3), reduce_four_cycle_pairs(cycle(8))]
+    for g in graphs:
+        arr = g.edge_array
+        assert arr.dtype == np.intp and arr.shape == (g.m, 2)
+        assert np.array_equal(arr, np.array(g.sorted_edges()).reshape(-1, 2))
+        assert g.edge_array is arr and not arr.flags.writeable

@@ -4,15 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planewidth.coloring import chromatic_number, coloring_from_list
-from planewidth.geometry import LINF, diameter
+from planewidth.geometry import L2, LINE, LINF, NormSpec, diameter, \
+    distance, edge_lengths
 from planewidth.graphs import (
     Homomorphism, ParameterError, cartesian, circulant, complete, cycle,
     disjoint_union, double_subdivide, graph_from_edges, join, odd_wheel,
 )
 from planewidth.realization import (
-    COMPLETE_WIDTH, CertificateError, InfeasibleError, Realization,
+    COMPLETE_WIDTH, CertificateError, Evaluation, InfeasibleError, Realization,
     evaluate, feasibilize, from_circular, from_coloring, join_realization,
     known_complete_arrangement, lattice_complete_arrangement,
     low_dim_realization, product_realization, pullback, read_realization,
@@ -56,6 +58,53 @@ def test_evaluate_edgeless():
     g = graph_from_edges(2, [])
     ev = evaluate(g, Realization(((0.0, 0.0), (0.25, 0.0))))
     assert ev.valid and ev.width == 0.25
+
+
+def reference_evaluate(g, r, tol):
+    """Per-edge loop over the sorted edges, one ``distance`` call each."""
+    width, _ = diameter(r.array(), r.norm)
+    min_d, bad = math.inf, None
+    for u, v in g.sorted_edges():
+        d = distance(r.points[u], r.points[v], r.norm)
+        min_d = min(min_d, d)
+        if bad is None and d < 1.0 - tol:
+            bad = (u, v)
+    return Evaluation(width, min_d, bad is None, bad)
+
+
+# quarter-grid coordinates give exact unit edges and coincident points
+_coord = st.one_of(st.integers(-8, 8).map(lambda k: k / 4.0),
+                   st.floats(-3.0, 3.0, allow_nan=False))
+
+
+@st.composite
+def _graph_and_points(draw, dim):
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    g = graph_from_edges(n, [e for e, k in zip(pairs, keep) if k])
+    pts = draw(st.lists(st.tuples(*[_coord] * dim), min_size=n, max_size=n))
+    return g, pts
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.0])
+@pytest.mark.parametrize("norm", [L2, LINF, NormSpec(1.0, 2), NormSpec(3.0, 2),
+                                  LINE], ids=["l2", "linf", "l1", "l3", "line"])
+def test_evaluate_matches_per_edge_loop(norm, tol):
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_graph_and_points(norm.dim))
+    def check(case):
+        g, pts = case
+        r = Realization(tuple(pts), norm)
+        got, want = evaluate(g, r, tol), reference_evaluate(g, r, tol)
+        assert got == want
+        assert got.min_edge_distance.hex() == want.min_edge_distance.hex()
+        lengths = edge_lengths(r.array(), g.edge_array, norm)
+        assert [x.hex() for x in lengths.tolist()] == \
+            [distance(r.points[u], r.points[v], norm).hex()
+             for u, v in g.sorted_edges()]
+    check()
 
 
 def test_feasibilize_identity_and_scaling():
@@ -364,6 +413,23 @@ def test_realization_file_format(tmp_path):
         obj = json.load(fh)
     assert obj["n"] == 2 and obj["dim"] == 2 and obj["norm"] == 2
     assert obj["points"][0][0] == pytest.approx(1.0 / 3.0, abs=0)
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"dim": 2, "points": [[0, 0]]}, "'norm'"),
+    ({"norm": 2, "points": [[0, 0]]}, "'dim'"),
+    ({"norm": 2, "dim": 2}, "'points'"),
+    ({"norm": 2, "dim": 2, "points": 3}, "'points' must be a list"),
+    ({"norm": 2, "dim": 2, "points": [0, 1]}, "'points' must be a list"),
+    ([[0, 0]], "JSON object"),
+])
+def test_read_realization_malformed(tmp_path, obj, message):
+    import json
+    path = str(tmp_path / "r.json")
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    with pytest.raises(ParameterError, match=message):
+        read_realization(path)
 
 
 def test_realization_file_inf_norm(tmp_path):
