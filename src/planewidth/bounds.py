@@ -9,16 +9,17 @@ circular placement, or a user-supplied arrangement).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .coloring import chromatic_number, max_clique
+from .coloring import chromatic_number
+from .geometry import SQRT3, diameter
 from .graphs import ParameterError
 from .optimizer import OptimizeConfig, optimize
+from .partition import SCHEME_THRESHOLD, tiling_color_cap
 from .realization import COMPLETE_WIDTH, Realization, evaluate, from_circular, \
     from_coloring, join_realization, lattice_complete_arrangement, \
     product_realization, union_realization
 
-SQRT3 = math.sqrt(3.0)
 LATTICE_RATIO = math.sqrt(2.0 * SQRT3 / math.pi)    # asymptotic width/sqrt(n)
 
 
@@ -60,39 +61,32 @@ def kn_upper(n):
         raise ParameterError("need n >= 2")
     if n <= 8:
         return COMPLETE_WIDTH[n]
-    r = lattice_complete_arrangement(n)
-    from .geometry import diameter
-    w, _ = diameter(r.array())
+    w, _ = diameter(lattice_complete_arrangement(n).array())
     return w
 
 
 def lower_bound(g, chrom):
     """(value, strict, provenance tags) from all lower-bound mechanisms.
 
-    chrom is a ChromaticResult; only its lower field is used, so a timed-out
-    solver degrades the bound instead of breaking it.
+    chrom is a ChromaticResult; only its lower and omega fields are used, so
+    a timed-out solver degrades the bound instead of breaking it.
     """
     if g.m == 0:
         raise ParameterError("bounds need at least one edge")
-    omega = len(max_clique(g))
-    chi_lo = chrom.lower
+    chi_lo, omega = chrom.lower, chrom.omega
     candidates = [(1.0, False, "edge")]
     candidates.append((kn_lower(omega), False,
                        "clique-table" if omega <= 8 else "clique-formula"))
-    if chi_lo >= 4:
-        candidates.append((2.0 / SQRT3, True, "chi-threshold"))
-    if chi_lo >= 5:
-        candidates.append((math.sqrt(2.0), True, "chi-threshold"))
-    if chi_lo >= 8:
-        candidates.append((2.0, True, "chi-threshold"))
+    # a k-piece scheme colors any arrangement up to its threshold width
+    for k, threshold in SCHEME_THRESHOLD.items():
+        if chi_lo > k:
+            candidates.append((threshold, True, "chi-threshold"))
     # largest t whose tiling color budget still falls short of chi
-    t = 1
-    best_t = 0
-    while 3 * t * t + 3 * t + 1 < chi_lo:
-        best_t = t
+    t = 0
+    while tiling_color_cap(t + 1) < chi_lo:
         t += 1
-    if best_t >= 1:
-        candidates.append((1.5 * best_t, False, "tiling-inversion"))
+    if t >= 1:
+        candidates.append((1.5 * t, False, "tiling-inversion"))
 
     value = max(v for v, _, _ in candidates)
     winners = [(s, tag) for v, s, tag in candidates if v >= value - 1e-12]
@@ -101,56 +95,51 @@ def lower_bound(g, chrom):
     return value, strict, tags
 
 
-def upper_bound(g, chrom, opt_restarts=0, opt_seed=0, circular=None,
-                witness=None):
-    """(value, witness, provenance): minimum over all witnessed mechanisms.
+def _assemble(g, chrom, entries):
+    """BoundReport from the lower bounds and the witnessed upper entries.
 
+    entries: (width, realization, tag) triples.  The least width wins (the
+    earlier entry on an exact tie); entries within 1e-12 of it share the tags.
+    """
+    lo, strict, lo_tags = lower_bound(g, chrom)
+    if not chrom.exact:
+        lo_tags = lo_tags + ("chi-timeout",)
+    entries = sorted(entries, key=lambda e: e[0])
+    up, up_witness, _ = entries[0]
+    up_tags = tuple(dict.fromkeys(tag for w, _, tag in entries
+                                  if w <= up + 1e-12))
+    if lo > up + 1e-9:
+        raise InternalConsistencyError(
+            "interval inversion: lower %.12g > upper %.12g" % (lo, up))
+    return BoundReport(lo, strict, lo_tags, up, up_witness, up_tags)
+
+
+def pw_interval(g, chi_budget=10.0, opt_restarts=0, opt_seed=0,
+                circular=None, witness=None):
+    """Assemble a certified [lower, upper] plane-width interval.
+
+    The upper bound is the least width over the witnessed mechanisms.
     circular: optional (angles, chi_c) pair; witness: optional externally
     supplied realization, verified before use.
     """
     if g.m == 0:
         raise ParameterError("bounds need at least one edge")
-    entries = []
-
+    chrom = chromatic_number(g, budget=chi_budget)
     r = from_coloring(g, chrom.coloring)
-    entries.append((evaluate(g, r).width, r, "coloring"))
-
+    entries = [(evaluate(g, r).width, r, "coloring")]
     if circular is not None:
         angles, chi_c = circular
         rc = from_circular(g, angles, chi_c)
         entries.append((evaluate(g, rc).width, rc, "circular"))
-
     if witness is not None:
         ev = evaluate(g, witness)
         if not ev.valid:
             raise ParameterError("supplied witness is not a valid realization")
         entries.append((ev.width, witness, "witness"))
-
     if opt_restarts > 0:
         res = optimize(g, OptimizeConfig(restarts=opt_restarts, seed=opt_seed))
         entries.append((res.width, res.realization, "optimizer"))
-
-    entries.sort(key=lambda e: e[0])
-    best_w, best_r, _ = entries[0]
-    tags = tuple(dict.fromkeys(tag for w, _, tag in entries
-                               if w <= best_w + 1e-12))
-    return best_w, best_r, tags
-
-
-def pw_interval(g, chi_budget=10.0, opt_restarts=0, opt_seed=0,
-                circular=None, witness=None):
-    """Assemble a certified [lower, upper] plane-width interval."""
-    chrom = chromatic_number(g, budget=chi_budget)
-    lo, strict, lo_tags = lower_bound(g, chrom)
-    if not chrom.exact:
-        lo_tags = lo_tags + ("chi-timeout",)
-    up, up_witness, up_tags = upper_bound(
-        g, chrom, opt_restarts=opt_restarts, opt_seed=opt_seed,
-        circular=circular, witness=witness)
-    if lo > up + 1e-9:
-        raise InternalConsistencyError(
-            "interval inversion: lower %.12g > upper %.12g" % (lo, up))
-    return BoundReport(lo, strict, lo_tags, up, up_witness, up_tags)
+    return _assemble(g, chrom, entries)
 
 
 def compose_report(kind, g, h, report_g, report_h):
@@ -182,15 +171,6 @@ def compose_report(kind, g, h, report_g, report_h):
     if not ev.valid:
         raise InternalConsistencyError("composed witness failed verification")
     chrom = chromatic_number(comp)
-    lo, strict, lo_tags = lower_bound(comp, chrom)
-    up, up_witness, up_tags = ev.width, r, (tag,)
     rc = from_coloring(comp, chrom.coloring)
-    wc = evaluate(comp, rc).width
-    if wc < up - 1e-12:
-        up, up_witness, up_tags = wc, rc, ("coloring",)
-    elif wc <= up + 1e-12:
-        up_tags = up_tags + ("coloring",)
-    if lo > up + 1e-9:
-        raise InternalConsistencyError(
-            "interval inversion: lower %.12g > upper %.12g" % (lo, up))
-    return BoundReport(lo, strict, lo_tags, up, up_witness, up_tags)
+    return _assemble(comp, chrom, [(ev.width, r, tag),
+                                   (evaluate(comp, rc).width, rc, "coloring")])

@@ -14,20 +14,16 @@ import sys
 
 from . import bounds as bounds_mod
 from . import graphs as graphs_mod
-from .coloring import chromatic_number, read_coloring, write_coloring
+from .coloring import chromatic_number, write_coloring
 from .geometry import INF, NormSpec
 from .graphs import ParameterError
 from .optimizer import OptimizeConfig, optimize
 from .partition import PartitionPreconditionError, extract_coloring, \
     tiling_coloring
-from .realization import CertificateError, InfeasibleError, evaluate, \
+from .realization import CertificateError, InfeasibleError, _fmt, evaluate, \
     from_circular, from_coloring, known_complete_arrangement, \
     lattice_complete_arrangement, low_dim_realization, read_realization, \
     write_realization
-
-
-def _fmt(x):
-    return "%.17g" % x
 
 
 def load_graph(path):

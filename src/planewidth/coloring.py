@@ -159,6 +159,7 @@ class ChromaticResult:
     upper: int
     coloring: Coloring          # witness for the upper bound
     exact: bool
+    omega: int                  # maximum clique size
 
     @property
     def chi(self):
@@ -252,9 +253,9 @@ def chromatic_number(g, budget=10.0):
     coloring for the upper bound.
     """
     if g.n == 0:
-        return ChromaticResult(0, 0, coloring_from_list([]), True)
+        return ChromaticResult(0, 0, coloring_from_list([]), True, 0)
     if g.m == 0:
-        return ChromaticResult(1, 1, coloring_from_list([0] * g.n), True)
+        return ChromaticResult(1, 1, coloring_from_list([0] * g.n), True, 1)
 
     # peel universal vertices
     adj = g.adjacency()
@@ -274,19 +275,20 @@ def chromatic_number(g, budget=10.0):
             colors[v] = shift + sub.coloring.colors[relabel[v]]
         witness = Coloring(tuple(colors), shift + sub.coloring.k)
         return ChromaticResult(sub.lower + shift, sub.upper + shift,
-                               witness, sub.exact)
+                               witness, sub.exact, sub.omega + shift)
 
-    clique = max_clique(g)
+    omega = len(max_clique(g))
     alpha = len(max_clique(complement(g)))
-    lower = max(len(clique), math.ceil(g.n / alpha) if alpha else 1)
+    lower = max(omega, math.ceil(g.n / alpha) if alpha else 1)
     greedy = greedy_dsatur(g)
     if greedy.k <= lower:
-        return ChromaticResult(greedy.k, greedy.k, greedy, True)
+        return ChromaticResult(greedy.k, greedy.k, greedy, True, omega)
 
     deadline = time.monotonic() + budget
     try:
         best_k, best_colors = _exact_chromatic(g, lower, greedy, deadline)
         return ChromaticResult(best_k, best_k,
-                               Coloring(tuple(best_colors), best_k), True)
+                               Coloring(tuple(best_colors), best_k), True,
+                               omega)
     except _Timeout:
-        return ChromaticResult(lower, greedy.k, greedy, False)
+        return ChromaticResult(lower, greedy.k, greedy, False, omega)

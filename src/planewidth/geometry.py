@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 INF = float("inf")
+SQRT3 = math.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -31,16 +32,16 @@ LINF = NormSpec(INF, 2)
 LINE = NormSpec(2.0, 1)
 
 
-def _lengths(diff, norm):
-    """Reduce a (..., dim) difference array to (...) lengths under norm."""
-    if norm.p == 2.0:
+def lp_lengths(diff, p):
+    """Reduce a (..., dim) difference array to (...) lp lengths."""
+    if p == 2.0:
         return np.sqrt((diff * diff).sum(axis=-1))
     d = np.abs(diff)
-    if norm.p == INF:
+    if p == INF:
         return d.max(axis=-1)
-    if norm.p == 1.0:
+    if p == 1.0:
         return d.sum(axis=-1)
-    return np.power((d ** norm.p).sum(axis=-1), 1.0 / norm.p)
+    return np.power((d ** p).sum(axis=-1), 1.0 / p)
 
 
 def _as_points(pts):
@@ -50,13 +51,13 @@ def _as_points(pts):
 
 def distance(a, b, norm=L2):
     diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    return float(_lengths(np.atleast_1d(diff), norm))
+    return float(lp_lengths(np.atleast_1d(diff), norm.p))
 
 
 def pairwise_distances(pts, norm=L2):
     """Full (n, n) distance matrix."""
     pts = _as_points(pts)
-    return _lengths(pts[:, None, :] - pts[None, :, :], norm)
+    return lp_lengths(pts[:, None, :] - pts[None, :, :], norm.p)
 
 
 def edge_lengths(pts, edges, norm=L2):
@@ -67,7 +68,7 @@ def edge_lengths(pts, edges, norm=L2):
     ``power``; a scalar ``pow`` of the same sum may differ from it by 1 ulp.
     """
     pts = _as_points(pts)
-    return _lengths(pts[edges[:, 0]] - pts[edges[:, 1]], norm)
+    return lp_lengths(pts[edges[:, 0]] - pts[edges[:, 1]], norm.p)
 
 
 def convex_hull(pts):
@@ -163,7 +164,7 @@ class Hexagon:
 
     def corners(self):
         """The six vertices, ccw, starting between normals 0 and 1."""
-        r = self.width / math.sqrt(3.0)
+        r = self.width / SQRT3
         t = self.orientation
         return np.array([[self.center[0] + r * math.cos(t + math.pi / 6 + k * math.pi / 3),
                           self.center[1] + r * math.sin(t + math.pi / 6 + k * math.pi / 3)]

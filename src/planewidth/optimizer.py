@@ -10,17 +10,21 @@ A grid-search oracle covers tiny instances for cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coloring import greedy_dsatur
-from .geometry import INF, L2, NormSpec
+from .geometry import INF, L2, NormSpec, lp_lengths
 from .graphs import ParameterError
-from .realization import COMPLETE_WIDTH, Realization, evaluate, feasibilize, \
-    realization_from_array
+from .realization import COMPLETE_WIDTH, InfeasibleError, Realization, \
+    evaluate, feasibilize, realization_from_array
 
 _TIE_EPS = 1e-12        # distance floor so gradients stay finite at ties
+_STAGES = 8             # annealing stages, geometric in sharpness and penalty
+_BETAS = np.geomspace(10.0, 1000.0, _STAGES)
+_MUS = np.geomspace(1.0, 1e6, _STAGES)
+_TOL = 1e-10            # a stage stops once a step gains less than this
 
 
 @dataclass(frozen=True)
@@ -29,20 +33,10 @@ class OptimizeConfig:
     max_iters: int = 2000
     seed: int = 0
     norm: NormSpec = L2
-    beta_lo: float = 10.0
-    beta_hi: float = 1000.0
-    mu_lo: float = 1.0
-    mu_hi: float = 1e6
-    stages: int = 8
-    tol: float = 1e-10
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ParameterError("restarts must be >= 1")
-        if self.beta_lo <= 0 or self.beta_hi < self.beta_lo:
-            raise ParameterError("beta schedule must be positive increasing")
-        if self.mu_lo <= 0 or self.mu_hi < self.mu_lo:
-            raise ParameterError("mu schedule must be positive increasing")
 
 
 @dataclass(frozen=True)
@@ -59,16 +53,6 @@ def _descent_p(norm):
     return norm.p
 
 
-def _pair_distances(x, p):
-    """(dist matrix, diff tensor); dist floored at a tiny epsilon."""
-    diff = x[:, None, :] - x[None, :, :]
-    if p == 2.0:
-        d = np.sqrt((diff * diff).sum(axis=2))
-    else:
-        d = (np.abs(diff) ** p).sum(axis=2) ** (1.0 / p)
-    return np.maximum(d, _TIE_EPS), diff
-
-
 def objective_and_grad(x, edge_index, beta, mu, p=2.0):
     """Smoothed width + penalty and its analytic gradient.
 
@@ -77,7 +61,8 @@ def objective_and_grad(x, edge_index, beta, mu, p=2.0):
     mu * sum over edges of max(0, 1 - dist)^2.
     """
     n = len(x)
-    d, diff = _pair_distances(x, p)
+    diff = x[:, None, :] - x[None, :, :]
+    d = np.maximum(lp_lengths(diff, p), _TIE_EPS)
     iu, ju = np.triu_indices(n, k=1)
     dv = d[iu, ju]
     m = dv.max()
@@ -157,20 +142,20 @@ def optimize(g, cfg=None):
     p = _descent_p(cfg.norm)
     chi_greedy = greedy_dsatur(g).k
     box = 1.0 + math.sqrt(chi_greedy)
-    betas = np.geomspace(cfg.beta_lo, cfg.beta_hi, cfg.stages)
-    mus = np.geomspace(cfg.mu_lo, cfg.mu_hi, cfg.stages)
-    per_stage = max(cfg.max_iters // cfg.stages, 1)
+    per_stage = max(cfg.max_iters // _STAGES, 1)
 
     best = None
     for restart in range(cfg.restarts):
         rng = np.random.default_rng(cfg.seed + restart)
         x = rng.uniform(0.0, box, size=(g.n, cfg.norm.dim))
         iters = 0
-        for beta, mu in zip(betas, mus):
-            x, _, used = _descend(x, edge_index, beta, mu, p,
-                                  per_stage, cfg.tol)
+        for beta, mu in zip(_BETAS, _MUS):
+            x, _, used = _descend(x, edge_index, beta, mu, p, per_stage, _TOL)
             iters += used
-        r = _certify(g, x, cfg.norm)
+        try:
+            r = feasibilize(g, realization_from_array(x, cfg.norm))
+        except InfeasibleError:
+            continue
         ev = evaluate(g, r, tol=1e-9)
         if not ev.valid:
             continue
@@ -179,19 +164,6 @@ def optimize(g, cfg=None):
     if best is None:
         raise AssertionError("no restart produced a certified witness")
     return best
-
-
-def _certify(g, x, norm):
-    """Rescale about the centroid so the minimum edge distance is exactly 1."""
-    r = realization_from_array(x, norm)
-    ev = evaluate(g, r, tol=0.0)
-    if ev.min_edge_distance <= _TIE_EPS:
-        # hopeless restart; let the validity check reject it
-        return r
-    centroid = x.mean(axis=0)
-    scaled = centroid + (x - centroid) / ev.min_edge_distance
-    r = realization_from_array(scaled, norm)
-    return feasibilize(g, r)
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +190,7 @@ def brute_force(g, resolution, d_max=None, max_n=4):
     if g.n < 2:
         raise ParameterError("need at least two vertices")
     if d_max is None:
-        k = greedy_dsatur(g).k
-        ub = COMPLETE_WIDTH[k] if k <= 8 else math.sqrt(2.0 * math.sqrt(3.0)
-                                                        / math.pi * k) + 1.0
-        d_max = 1.0 + ub
+        d_max = 1.0 + COMPLETE_WIDTH[greedy_dsatur(g).k]    # k <= n <= 5
 
     adj = g.adjacency()
     steps = int(math.floor(d_max / resolution + 1e-9))

@@ -13,11 +13,9 @@ import math
 import numpy as np
 
 from .coloring import coloring_from_list
-from .geometry import L2, diameter, pal_hexagon
+from .geometry import L2, SQRT3, diameter, pal_hexagon
 from .graphs import ParameterError
 from .realization import evaluate
-
-SQRT3 = math.sqrt(3.0)
 
 #: intra-piece diameter guarantee per scheme, at unit input diameter
 SCHEME_DELTA = {3: SQRT3 / 2.0, 4: math.sqrt(2.0) / 2.0, 7: 0.5}
@@ -288,8 +286,7 @@ def tiling_coloring(g, r):
 
     cells = []
     for p in r.array():
-        frac = inv @ (p - c)
-        cell = _nearest_hex_cell(frac, basis)
+        cell = _nearest_hex_cell(inv @ (p - c))
         if _hex_distance(cell) > t:
             raise PartitionPreconditionError(
                 "point fell outside the %d designated cells"
@@ -303,19 +300,19 @@ def _hex_distance(cell):
     return (abs(i) + abs(j) + abs(i + j)) // 2
 
 
-def _nearest_hex_cell(frac, basis):
-    """Nearest tiling-cell center in axial coordinates.
+def _nearest_hex_cell(frac):
+    """Nearest tiling-cell center in axial coordinates, by cube rounding.
 
-    Checks the four integer corners around the fractional coordinate plus
-    their neighbors; ties go to the lexicographically smallest cell.
+    With x = i, z = j and y = -x - z, round all three and recompute the one
+    with the largest rounding error from the other two
+    (https://www.redblobgames.com/grids/hexagons/#rounding).
     """
-    fi, fj = frac
-    best, arg = math.inf, None
-    for i in range(int(math.floor(fi)) - 1, int(math.floor(fi)) + 3):
-        for j in range(int(math.floor(fj)) - 1, int(math.floor(fj)) + 3):
-            delta = basis @ (frac - np.array([i, j]))
-            dd = float(delta @ delta)
-            if dd < best - 1e-15 or (abs(dd - best) <= 1e-15
-                                     and (arg is None or (i, j) < arg)):
-                best, arg = min(best, dd), (i, j)
-    return arg
+    x, z = float(frac[0]), float(frac[1])
+    y = -x - z
+    rx, ry, rz = round(x), round(y), round(z)
+    dx, dy, dz = abs(rx - x), abs(ry - y), abs(rz - z)
+    if dx > dy and dx > dz:
+        rx = -ry - rz
+    elif dz >= dy:
+        rz = -rx - ry
+    return rx, rz

@@ -14,12 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coloring import check_proper
-from .geometry import INF, L2, LINE, LINF, NormSpec, diameter, \
+from .geometry import INF, L2, LINE, LINF, SQRT3, NormSpec, diameter, \
     edge_lengths, pal_hexagon
 from .graphs import ParameterError
 
 SQRT2 = math.sqrt(2.0)
-SQRT3 = math.sqrt(3.0)
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 #: exact widths of the optimal complete-graph arrangements, n = 2..8
@@ -106,17 +105,16 @@ def evaluate(g, r, tol=1e-9):
 def feasibilize(g, r):
     """Scale about the centroid so the minimum edge distance becomes 1.
 
-    Identity when the realization is already valid; the width scales by the
-    same factor, so validity is gained without changing the shape.
+    Scales up or down; the width scales by the same factor, so the shape is
+    kept.  Identity when the minimum edge distance is within 1e-12 of 1, so
+    the output of a rescale is a fixed point.
     """
     if g.m == 0:
         raise ParameterError("feasibilize needs at least one edge")
     ev = evaluate(g, r, tol=0.0)
     if ev.min_edge_distance == 0.0:
         raise InfeasibleError("adjacent vertices share a point")
-    if ev.min_edge_distance >= 1.0 - 1e-12:
-        # already feasible up to rounding of a previous rescale; keep exact
-        # points so repeated feasibilization is a fixed point
+    if abs(ev.min_edge_distance - 1.0) <= 1e-12:
         return r
     arr = r.array()
     centroid = arr.mean(axis=0)
@@ -278,22 +276,13 @@ def join_realization(g, h, r_g, r_h):
     """Arrangement of the join: diametral axes collinear, gap exactly 1.
 
     Each part lies behind the perpendicular through its facing diametral
-    point, so cross distances are at least the separation.
+    point (x <= 0 once aligned), so cross distances are at least the
+    separation: 1, plus any rounding overshoot of either part past x = 0.
     """
     ag = _aligned(r_g)
     ah = _aligned(r_h)
-    sep = 1.0
-    from .graphs import join as join_graph
-    jg = join_graph(g, h)
-    for _ in range(50):
-        pts = np.vstack([ag * np.array([1.0, 1.0]),
-                         np.array([sep, 0.0]) - ah])
-        r = realization_from_array(pts, L2)
-        ev = evaluate(jg, r, tol=1e-9)
-        if ev.valid:
-            return r
-        sep += 1e-9  # absorb rounding in the rigid placement
-    raise AssertionError("join placement failed to validate")
+    sep = 1.0 + max(ag[:, 0].max(), 0.0) + max(ah[:, 0].max(), 0.0)
+    return realization_from_array(np.vstack([ag, (sep, 0.0) - ah]), L2)
 
 
 def _aligned(r):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planewidth.bounds import (
     LATTICE_RATIO, BoundReport, compose_report, kn_lower, kn_upper,
@@ -222,3 +223,25 @@ def test_complement_pair_inequality():
         bound = 2 * math.sqrt(SQRT3 / math.pi) * math.sqrt(n) + C_MEASURED
         assert a.upper + b.upper <= bound + 1e-9
         checked += 1
+
+
+@st.composite
+def _small_graphs(draw):
+    """A graph on 2..8 vertices with at least one edge."""
+    n = draw(st.integers(2, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return graph_from_edges(n, [e for e, k in zip(pairs, keep) if k]
+                            or [(0, 1)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_small_graphs(), _small_graphs())
+def test_lower_at_most_upper(g, h):
+    rep_g, rep_h = pw_interval(g), pw_interval(h)
+    reports = [rep_g, rep_h] + [compose_report(kind, g, h, rep_g, rep_h)
+                                for kind in ("join", "cartesian",
+                                             "disjoint-union")]
+    for rep in reports:
+        assert rep.lower <= rep.upper

@@ -11,8 +11,8 @@ from planewidth.coloring import (
     require_proper, write_coloring,
 )
 from planewidth.graphs import (
-    circulant, circle_star, complement, complete, cycle, groetzsch,
-    odd_wheel, petersen,
+    circulant, circle_star, complement, complete, cycle, graph_from_edges,
+    groetzsch, join, odd_wheel, petersen,
 )
 
 from conftest import random_graph
@@ -113,6 +113,19 @@ def test_chromatic_at_least_clique():
     for _ in range(15):
         g = random_graph(rng, 13, 0.5)
         assert chromatic_number(g).lower >= len(max_clique(g))
+
+
+def test_chromatic_omega_is_max_clique():
+    rng = np.random.default_rng(23)
+    graphs = [random_graph(rng, int(rng.integers(1, 13)), p)
+              for p in (0.2, 0.5, 0.8) for _ in range(8)]
+    # universal vertices over a random, an edgeless and an empty core
+    graphs += [join(complete(k), random_graph(rng, 7, 0.4)) for k in (1, 2, 3)]
+    graphs += [join(complete(2), graph_from_edges(3, [])), complete(1),
+               complete(2), complete(6)]
+    graphs += [graph_from_edges(n, []) for n in (0, 1, 4)]
+    for g in graphs:
+        assert chromatic_number(g).omega == len(max_clique(g)), g
 
 
 def test_chromatic_zero_budget_degrades_gracefully():

@@ -21,10 +21,6 @@ def small_cfg(restarts=6, seed=0):
 def test_config_validation():
     with pytest.raises(ParameterError):
         OptimizeConfig(restarts=0)
-    with pytest.raises(ParameterError):
-        OptimizeConfig(beta_lo=-1.0)
-    with pytest.raises(ParameterError):
-        OptimizeConfig(mu_lo=2.0, mu_hi=1.0)
 
 
 def test_optimize_k2_exact():

@@ -4,14 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from planewidth.coloring import check_proper
 from planewidth.geometry import diameter
 from planewidth.graphs import complete, cycle, graph_from_edges
 from planewidth.partition import (
     SCHEME_DELTA, SCHEME_THRESHOLD, PartitionPreconditionError,
-    extract_coloring, partition_unit, tiling_color_cap, tiling_coloring,
-    tiling_parameter,
+    _nearest_hex_cell, extract_coloring, partition_unit, tiling_color_cap,
+    tiling_coloring, tiling_parameter,
 )
 from planewidth.realization import (
     Realization, evaluate, known_complete_arrangement,
@@ -187,3 +188,19 @@ def test_tiling_zero_width_single_cell():
     r = Realization(((0.5, 0.5), (0.5, 0.5)))
     c, t = tiling_coloring(g, r)
     assert c.k == 1 and t == 1
+
+
+# columns: the unit cell-center steps of the tiling, 60 degrees apart
+HEX_BASIS = np.array([[1.0, 0.5], [0.0, math.sqrt(3) / 2]])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0))
+def test_nearest_hex_cell_matches_brute_force(i, j):
+    frac = np.array([i, j])
+    cells = [(a, b) for a in range(math.floor(i) - 2, math.floor(i) + 4)
+             for b in range(math.floor(j) - 2, math.floor(j) + 4)]
+    dist = sorted((float(np.sum((HEX_BASIS @ (frac - cell)) ** 2)), cell)
+                  for cell in cells)
+    assume(dist[1][0] - dist[0][0] > 1e-9)          # no tie for nearest
+    assert _nearest_hex_cell(frac) == dist[0][1]

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from planewidth.coloring import chromatic_number, coloring_from_list
 from planewidth.geometry import L2, LINE, LINF, NormSpec, diameter, \
@@ -145,6 +145,29 @@ def test_feasibilize_idempotent():
             continue
         f2 = feasibilize(g, f1)
         assert f2.points == f1.points
+
+
+@pytest.mark.parametrize("start", [(0.05, 0.99), (1.01, 20.0)],
+                         ids=["below", "above"])
+def test_feasibilize_rescales_to_unit_shortest_edge(start):
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_graph_and_points(2), st.floats(*start))
+    def check(case, target):
+        g, pts = case
+        assume(g.m > 0)
+        arr = np.array(pts, dtype=float)
+        shortest = evaluate(g, realization_from_array(arr), tol=0.0)
+        assume(shortest.min_edge_distance >= 1e-2)
+        arr *= target / shortest.min_edge_distance
+        r = realization_from_array(arr)
+        m0 = evaluate(g, r, tol=0.0).min_edge_distance
+        f = feasibilize(g, r)
+        assert abs(evaluate(g, f, tol=0.0).min_edge_distance - 1.0) <= 1e-12
+        centroid = arr.mean(axis=0)
+        np.testing.assert_allclose(f.array(), centroid + (arr - centroid) / m0,
+                                   rtol=0.0, atol=1e-12)
+        assert feasibilize(g, f).points == f.points
+    check()
 
 
 def test_feasibilize_coincident_adjacent_rejected():
