@@ -111,14 +111,17 @@ def feasibilize(g, r):
     """
     if g.m == 0:
         raise ParameterError("feasibilize needs at least one edge")
-    ev = evaluate(g, r, tol=0.0)
-    if ev.min_edge_distance == 0.0:
-        raise InfeasibleError("adjacent vertices share a point")
-    if abs(ev.min_edge_distance - 1.0) <= 1e-12:
-        return r
+    if r.n != g.n:
+        raise ParameterError("realization has %d points for %d vertices"
+                             % (r.n, g.n))
     arr = r.array()
+    shortest = float(edge_lengths(arr, g.edge_array, r.norm).min())
+    if shortest == 0.0:
+        raise InfeasibleError("adjacent vertices share a point")
+    if abs(shortest - 1.0) <= 1e-12:
+        return r
     centroid = arr.mean(axis=0)
-    scaled = centroid + (arr - centroid) / ev.min_edge_distance
+    scaled = centroid + (arr - centroid) / shortest
     return realization_from_array(scaled, r.norm)
 
 
