@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .coloring import chromatic_number
 from .geometry import SQRT3, diameter
-from .graphs import ParameterError
+from .graphs import ParameterError, compose
 from .optimizer import OptimizeConfig, optimize
 from .partition import SCHEME_THRESHOLD, tiling_color_cap
 from .realization import COMPLETE_WIDTH, Realization, evaluate, from_circular, \
@@ -150,23 +150,14 @@ def compose_report(kind, g, h, report_g, report_h):
     wanting the absolute best interval should run pw_interval on the
     composite graph as well.
     """
-    from .graphs import cartesian, disjoint_union, join
-    if kind == "join":
-        comp = join(g, h)
-        r = join_realization(g, h, report_g.upper_witness, report_h.upper_witness)
-        tag = "join"
-    elif kind == "cartesian":
-        comp = cartesian(g, h)
-        r = product_realization(g, h, report_g.upper_witness,
-                                report_h.upper_witness)
-        tag = "product"
-    elif kind == "disjoint-union":
-        comp = disjoint_union(g, h)
-        r = union_realization(g, h, report_g.upper_witness,
-                              report_h.upper_witness)
-        tag = "union"
-    else:
+    constructions = {"join": (join_realization, "join"),
+                     "cartesian": (product_realization, "product"),
+                     "disjoint-union": (union_realization, "union")}
+    if kind not in constructions:
         raise ParameterError("unknown composition %r" % kind)
+    build, tag = constructions[kind]
+    comp = compose(kind, g, h)
+    r = build(g, h, report_g.upper_witness, report_h.upper_witness)
     ev = evaluate(comp, r)
     if not ev.valid:
         raise InternalConsistencyError("composed witness failed verification")

@@ -12,6 +12,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import bounds as bounds_mod
 from . import graphs as graphs_mod
 from .coloring import chromatic_number, write_coloring
@@ -20,8 +22,8 @@ from .graphs import ParameterError
 from .optimizer import OptimizeConfig, optimize
 from .partition import PartitionPreconditionError, extract_coloring, \
     tiling_coloring
-from .realization import CertificateError, InfeasibleError, _fmt, evaluate, \
-    from_circular, from_coloring, known_complete_arrangement, \
+from .realization import CertificateError, InfeasibleError, Realization, \
+    _fmt, evaluate, from_circular, from_coloring, known_complete_arrangement, \
     lattice_complete_arrangement, low_dim_realization, read_realization, \
     write_realization
 
@@ -155,8 +157,7 @@ def cmd_verify(args):
     g = load_graph(args.graph)
     r = read_realization(args.realization)
     if args.norm is not None:
-        from .realization import Realization
-        r = Realization(r.points, _parse_norm(args.norm))
+        r = Realization(r.array(), _parse_norm(args.norm))
     ev = evaluate(g, r, tol=args.tol)
     print("width %s" % _fmt(ev.width))
     print("min_edge_distance %s" % _fmt(ev.min_edge_distance))
@@ -201,13 +202,10 @@ def cmd_plot(args):
 
 def render_svg(r, g=None, scale=100.0):
     """2-D scatter with edges and a 1-unit scale bar; 100 px per plane unit."""
-    pts = [(p[0], p[1] if len(p) > 1 else 0.0) for p in r.points]
-    if not pts:
-        pts = [(0.0, 0.0)]
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
+    pts = np.zeros((max(r.n, 1), 2))
+    pts[:r.n, :r.norm.dim] = r.array()        # a line sits on y = 0
+    xmin, ymin = pts.min(axis=0).tolist()
+    xmax, ymax = pts.max(axis=0).tolist()
     span = max(xmax - xmin, ymax - ymin, 1.0)
     margin = 0.05 * span + 0.2
     w = (xmax - xmin + 2 * margin) * scale
@@ -222,12 +220,13 @@ def render_svg(r, g=None, scale=100.0):
     parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="%.1f" height="%.1f" '
              'viewBox="0 0 %.1f %.1f">' % (w, h, w, h)]
     if g is not None:
-        for u, v in g.sorted_edges():
-            parts.append('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
-                         'stroke="#888" stroke-width="1"/>'
-                         % (sx(pts[u][0]), sy(pts[u][1]),
-                            sx(pts[v][0]), sy(pts[v][1])))
-    for i, (x, y) in enumerate(pts):
+        u, v = g.edge_array.T
+        ends = np.stack([sx(pts[u, 0]), sy(pts[u, 1]),
+                         sx(pts[v, 0]), sy(pts[v, 1])], axis=1)
+        parts += ['<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
+                  'stroke="#888" stroke-width="1"/>' % tuple(e)
+                  for e in ends.tolist()]
+    for i, (x, y) in enumerate(pts.tolist()):
         parts.append('<circle cx="%.2f" cy="%.2f" r="4" fill="#c22"/>'
                      % (sx(x), sy(y)))
         parts.append('<text x="%.2f" y="%.2f" font-size="11">%d</text>'
@@ -316,13 +315,10 @@ def main(argv=None):
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParameterError, FileNotFoundError, ValueError) as exc:
-        if isinstance(exc, (PartitionPreconditionError, CertificateError,
-                            InfeasibleError)):
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
+    except (OSError, ValueError) as exc:        # ParameterError included
         print("error: %s" % exc, file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (PartitionPreconditionError,
+                                     CertificateError, InfeasibleError)) else 1
     except bounds_mod.InternalConsistencyError as exc:
         print("internal consistency error: %s" % exc, file=sys.stderr)
         return 3

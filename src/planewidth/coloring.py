@@ -1,8 +1,8 @@
 """Proper colorings plus the exact combinatorial solvers feeding the bounds.
 
-Max clique and chromatic number are branch-and-bound over bitset adjacency
-(Python ints), deterministic given the vertex order: ties always go to the
-lowest-index vertex and the lowest color.
+Max clique (over bitset adjacency, as Python ints) and chromatic number are
+branch and bound, deterministic given the vertex order: ties always go to
+the lowest-index vertex and the lowest color.
 """
 
 from __future__ import annotations
@@ -11,7 +11,9 @@ import math
 import time
 from dataclasses import dataclass
 
-from .graphs import Graph, ParameterError, complement
+import numpy as np
+
+from .graphs import ParameterError, complement, induced_subgraph
 
 
 class ImproperColoringError(ValueError):
@@ -43,10 +45,9 @@ def coloring_from_list(colors):
 
 def check_proper(g, c):
     """Return the first monochromatic edge in sorted order, or None."""
-    for u, v in g.sorted_edges():
-        if c.colors[u] == c.colors[v]:
-            return (u, v)
-    return None
+    colors = np.asarray(c.colors, dtype=np.intp)[g.edge_array]
+    bad = np.flatnonzero(colors[:, 0] == colors[:, 1])
+    return tuple(g.edge_array[bad[0]].tolist()) if len(bad) else None
 
 
 def require_proper(g, c):
@@ -75,27 +76,6 @@ def read_coloring(path):
 
 
 # ---------------------------------------------------------------------------
-# Bitset helpers
-
-
-def _adjacency_bits(g):
-    bits = [0] * g.n
-    for u, v in g.edges:
-        bits[u] |= 1 << v
-        bits[v] |= 1 << u
-    return bits
-
-
-def _bit_indices(mask):
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Maximum clique
 
 
@@ -108,7 +88,10 @@ def max_clique(g):
     """
     if g.n == 0:
         return []
-    adj = _adjacency_bits(g)
+    adj = [0] * g.n                 # bitset adjacency
+    for u, v in g.edge_array.tolist():
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     best = []
 
     def color_sort(cand_mask):
@@ -192,7 +175,7 @@ class _Timeout(Exception):
 def _exact_chromatic(g, lower, upper_coloring, deadline):
     """DSATUR-ordered branch and bound; may raise _Timeout."""
     n = g.n
-    adj = _adjacency_bits(g)
+    adj = g.adjacency()
     best_k = upper_coloring.k
     best_colors = list(upper_coloring.colors)
     colors = [-1] * n
@@ -204,7 +187,7 @@ def _exact_chromatic(g, lower, upper_coloring, deadline):
         for v in range(n):
             if colors[v] >= 0:
                 continue
-            k = (bin(forbidden[v]).count("1"), bin(adj[v]).count("1"), -v)
+            k = (bin(forbidden[v]).count("1"), len(adj[v]), -v)
             if key is None or k > key:
                 pick, key = v, k
         return pick
@@ -229,7 +212,7 @@ def _exact_chromatic(g, lower, upper_coloring, deadline):
                 continue
             colors[v] = c
             touched = []
-            for w in _bit_indices(adj[v]):
+            for w in adj[v]:
                 if colors[w] < 0 and not (forbidden[w] >> c & 1):
                     forbidden[w] |= 1 << c
                     touched.append(w)
@@ -258,22 +241,14 @@ def chromatic_number(g, budget=10.0):
         return ChromaticResult(1, 1, coloring_from_list([0] * g.n), True, 1)
 
     # peel universal vertices
-    adj = g.adjacency()
-    universal = [v for v in range(g.n) if len(adj[v]) == g.n - 1]
-    if universal:
-        keep = [v for v in range(g.n) if v not in set(universal)]
-        relabel = {v: i for i, v in enumerate(keep)}
-        core_pairs = [(relabel[u], relabel[v]) for u, v in g.edges
-                      if u in relabel and v in relabel]
-        core = Graph(len(keep), frozenset(core_pairs))
-        sub = chromatic_number(core, budget)
-        shift = len(universal)
-        colors = [0] * g.n
-        for i, v in enumerate(universal):
-            colors[v] = i
-        for v in keep:
-            colors[v] = shift + sub.coloring.colors[relabel[v]]
-        witness = Coloring(tuple(colors), shift + sub.coloring.k)
+    universal = np.bincount(g.edge_array.ravel(), minlength=g.n) == g.n - 1
+    if universal.any():
+        sub = chromatic_number(induced_subgraph(g, ~universal), budget)
+        shift = int(universal.sum())
+        colors = np.empty(g.n, dtype=np.intp)
+        colors[universal] = np.arange(shift)
+        colors[~universal] = shift + np.array(sub.coloring.colors, dtype=int)
+        witness = Coloring(colors.tolist(), shift + sub.coloring.k)
         return ChromaticResult(sub.lower + shift, sub.upper + shift,
                                witness, sub.exact, sub.omega + shift)
 

@@ -1,15 +1,17 @@
 """Graph values, named generators, composition operators and file formats.
 
-Vertices are dense 0-based integers.  Edges are stored as a frozenset of
-sorted pairs, so graphs are hashable immutable values.
+Vertices are dense 0-based integers.  A graph stores its edges as one sorted,
+read-only ``(m, 2)`` array, so graphs are immutable values; the frozenset,
+adjacency sets and degrees are views derived from it.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
+import inspect
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,29 +20,62 @@ class ParameterError(ValueError):
     """Raised when a generator or operator gets invalid parameters."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
+    """A graph on the vertices 0..n-1.
+
+    Built from any iterable or array of vertex pairs, in either order and with
+    repeats; ``edge_array`` then holds each edge (u, v), u < v, once, in
+    lexicographic order, as a read-only (m, 2) intp array.
+    """
+
     n: int
-    edges: frozenset = field(default_factory=frozenset)
+    edge_array: np.ndarray = ()
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ParameterError("vertex count must be nonnegative")
-        n = self.n
-        pairs = {(u, v) if u < v else (v, u) for u, v in self.edges}
-        bad = [e for e in pairs if not 0 <= e[0] < e[1] < n]
-        if bad:
-            e = min(bad)
+        n, edges = self.n, self.edge_array
+        top = math.isqrt(np.iinfo(np.intp).max)    # keys u * n + v must fit
+        if not (isinstance(n, (int, np.integer)) and 0 <= n <= top):
+            raise ParameterError("vertex count must be an integer in 0..%d"
+                                 % top)
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        if pairs.size == 0:
+            pairs = np.empty((0, 2), dtype=np.intp)
+        elif pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+            raise ParameterError("edges must be pairs of integer vertices")
+        lo = np.minimum(pairs[:, 0], pairs[:, 1]).astype(np.intp)
+        hi = np.maximum(pairs[:, 0], pairs[:, 1]).astype(np.intp)
+        bad = (lo < 0) | (lo == hi) | (hi >= n)
+        if bad.any():
+            e = min(zip(lo[bad].tolist(), hi[bad].tolist()))
             if e[0] == e[1]:
                 raise ParameterError("self-loop %r" % (e,))
             raise ParameterError("edge %r out of range for n=%d" % (e, n))
-        # copied from a set, the frozenset's table is sized to fit; built
-        # from any other iterable it can end up twice as large
-        object.__setattr__(self, "edges", frozenset(pairs))
+        # one sort of the keys orders the edges lexicographically
+        keys = np.sort(lo * n + hi)
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        arr = np.stack([keys // n, keys % n], axis=1)
+        arr.flags.writeable = False
+        object.__setattr__(self, "edge_array", arr)
+
+    def __eq__(self, other):
+        return (isinstance(other, Graph) and self.n == other.n
+                and np.array_equal(self.edge_array, other.edge_array))
+
+    def __hash__(self):
+        return hash((self.n, self.edge_array.tobytes()))
 
     @property
     def m(self):
-        return len(self.edges)
+        return len(self.edge_array)
+
+    @functools.cached_property
+    def edges(self):
+        """The edges as a frozenset of (u, v) tuples, u < v."""
+        return frozenset(zip(*self.edge_array.T.tolist()))
+
+    def sorted_edges(self):
+        return list(zip(*self.edge_array.T.tolist()))
 
     def has_edge(self, u, v):
         return (min(u, v), max(u, v)) in self.edges
@@ -48,32 +83,26 @@ class Graph:
     def adjacency(self):
         """Adjacency sets, one per vertex."""
         adj = [set() for _ in range(self.n)]
-        for u, v in self.edges:
+        for u, v in self.edge_array.tolist():
             adj[u].add(v)
             adj[v].add(u)
         return adj
 
     def degree(self, v):
-        return sum(1 for e in self.edges if v in e)
-
-    def sorted_edges(self):
-        return sorted(self.edges)
-
-    @functools.cached_property
-    def edge_array(self):
-        """The edges as a read-only (m, 2) intp array, rows in sorted order.
-
-        Cached in the instance ``__dict__`` (the frozen dataclass has no slots).
-        """
-        flat = np.fromiter(itertools.chain.from_iterable(self.edges),
-                           dtype=np.intp, count=2 * self.m).reshape(-1, 2)
-        arr = flat[np.lexsort((flat[:, 1], flat[:, 0]))]
-        arr.flags.writeable = False
-        return arr
+        return int(np.count_nonzero(self.edge_array == v))
 
 
 def graph_from_edges(n, pairs):
     return Graph(n, pairs)
+
+
+def induced_subgraph(g, keep):
+    """The subgraph on the vertices where the boolean mask ``keep`` holds,
+    relabelled densely in their old order."""
+    keep = np.asarray(keep, dtype=bool)
+    label = np.cumsum(keep) - 1
+    inside = keep[g.edge_array].all(axis=1)
+    return Graph(int(keep.sum()), label[g.edge_array[inside]])
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +112,7 @@ def graph_from_edges(n, pairs):
 def complete(n):
     if n < 0:
         raise ParameterError("n must be nonnegative")
-    return graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph(n, np.stack(np.triu_indices(n, 1), axis=1))
 
 
 def cycle(n):
@@ -109,12 +138,9 @@ def circulant(p, q):
     """
     if q < 2 or p <= 2 * q:
         raise ParameterError("circulant requires p > 2q >= 4")
-    pairs = []
-    for i in range(p):
-        for j in range(i + 1, p):
-            if min(j - i, p - (j - i)) >= q:
-                pairs.append((i, j))
-    return graph_from_edges(p, pairs)
+    pairs = complete(p).edge_array
+    gap = pairs[:, 1] - pairs[:, 0]
+    return Graph(p, pairs[np.minimum(gap, p - gap) >= q])
 
 
 def circle_star_points(n, eps):
@@ -182,32 +208,29 @@ def groetzsch():
 
 
 def disjoint_union(g, h):
-    pairs = list(g.edges) + [(u + g.n, v + g.n) for u, v in h.edges]
-    return graph_from_edges(g.n + h.n, pairs)
+    return Graph(g.n + h.n, np.vstack([g.edge_array, h.edge_array + g.n]))
 
 
 def join(g, h):
-    base = disjoint_union(g, h)
-    cross = [(u, g.n + x) for u in range(g.n) for x in range(h.n)]
-    return graph_from_edges(base.n, list(base.edges) + cross)
+    cross = np.stack(np.meshgrid(np.arange(g.n), np.arange(g.n, g.n + h.n),
+                                 indexing="ij"), axis=-1).reshape(-1, 2)
+    return Graph(g.n + h.n,
+                 np.vstack([g.edge_array, h.edge_array + g.n, cross]))
 
 
 def cartesian(g, h):
     """Vertex (u,x) is index u*h.n + x."""
-    pairs = []
-    for u in range(g.n):
-        for x, y in h.edges:
-            pairs.append((u * h.n + x, u * h.n + y))
-    for u, v in g.edges:
-        for x in range(h.n):
-            pairs.append((u * h.n + x, v * h.n + x))
-    return graph_from_edges(g.n * h.n, pairs)
+    h_copies = np.arange(g.n)[:, None, None] * h.n + h.edge_array
+    g_copies = g.edge_array[:, None, :] * h.n + np.arange(h.n)[:, None]
+    return Graph(g.n * h.n, np.vstack([h_copies.reshape(-1, 2),
+                                       g_copies.reshape(-1, 2)]))
 
 
 def complement(g):
-    pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)
-             if not g.has_edge(i, j)]
-    return graph_from_edges(g.n, pairs)
+    iu, ju = np.triu_indices(g.n, 1)
+    u, v = g.edge_array.T
+    absent = ~np.isin(iu * g.n + ju, u * g.n + v)
+    return Graph(g.n, np.stack([iu[absent], ju[absent]], axis=1))
 
 
 def compose(kind, g, h=None):
@@ -224,12 +247,12 @@ def compose(kind, g, h=None):
 def double_subdivide(g, e):
     """Replace edge uv by a path u-x-y-v through two new vertices."""
     u, v = min(e), max(e)
-    if (u, v) not in g.edges:
+    hit = (g.edge_array == (u, v)).all(axis=1)
+    if not hit.any():
         raise ParameterError("%r is not an edge" % (e,))
     x, y = g.n, g.n + 1
-    pairs = [p for p in g.edges if p != (u, v)]
-    pairs += [(u, x), (x, y), (y, v)]
-    return graph_from_edges(g.n + 2, pairs)
+    return Graph(g.n + 2, np.vstack([g.edge_array[~hit],
+                                     [(u, x), (x, y), (y, v)]]))
 
 
 def reduce_four_cycle_pairs(g):
@@ -241,25 +264,18 @@ def reduce_four_cycle_pairs(g):
     """
     while True:
         adj = g.adjacency()
-        found = None
-        for x, y in g.sorted_edges():
+        for x, y in g.edge_array.tolist():
             if len(adj[x]) != 2 or len(adj[y]) != 2:
                 continue
             u = (adj[x] - {y}).pop()
             v = (adj[y] - {x}).pop()
-            if u == v:
-                continue
-            if v in adj[u]:    # u-x-y-v-u is a four-cycle
-                found = (x, y)
+            if u != v and v in adj[u]:    # u-x-y-v-u is a four-cycle
+                keep = np.ones(g.n, dtype=bool)
+                keep[[x, y]] = False
+                g = induced_subgraph(g, keep)
                 break
-        if found is None:
+        else:
             return g
-        remove = set(found)
-        keep = [w for w in range(g.n) if w not in remove]
-        relabel = {w: i for i, w in enumerate(keep)}
-        pairs = [(relabel[a], relabel[b]) for a, b in g.edges
-                 if a not in remove and b not in remove]
-        g = graph_from_edges(len(keep), pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +299,10 @@ class Homomorphism:
 
 def verify_homomorphism(phi):
     """True iff every source edge maps to a target edge."""
-    for u, v in phi.source.edges:
-        if not phi.target.has_edge(phi.map[u], phi.map[v]):
-            return False
-    return True
+    img = np.asarray(phi.map, dtype=np.intp)[phi.source.edge_array]
+    lo, hi = img.min(axis=1), img.max(axis=1)      # a loop lo == hi never hits
+    u, v = phi.target.edge_array.T
+    return bool(np.isin(lo * phi.target.n + hi, u * phi.target.n + v).all())
 
 
 def coloring_homomorphism(g, colors, k):
@@ -302,61 +318,72 @@ def write_edge_list(g, path):
     with open(path, "w") as fh:
         fh.write("# %d vertices\n" % g.n)
         fh.write("n %d\n" % g.n)
-        for u, v in g.sorted_edges():
-            fh.write("%d %d\n" % (u, v))
+        fh.write(("%d %d\n" * g.m) % tuple(g.edge_array.ravel().tolist()))
+
+
+#: a line of the edge-list grammar, bar the lone count: blank, ``n <count>``
+#: or ``<u> <v>``, each with an optional ``#`` comment
+_EDGE_LIST_LINE = r"[ \t]*(?:(?:n|[+-]?\d+)[ \t]+[+-]?\d+[ \t]*)?(?:#.*)?$"
+_BAD_EDGE_LIST_LINE = re.compile(r"^(?!%s)" % _EDGE_LIST_LINE, re.M | re.A)
+_LONE_COUNT = re.compile(r"(?:[ \t]*(?:#.*)?\n)*[ \t]*([+-]?\d+)[ \t]*(?:#.*)?$",
+                         re.M | re.A)
+_COUNT = re.compile(r"^[ \t]*n[ \t]+([+-]?\d+)", re.M | re.A)
 
 
 def read_edge_list(path):
     """Read an edge list: ``n <count>`` and ``<u> <v>`` lines, ``#`` comments.
 
     A lone ``<count>`` is accepted on the first data line only.  The vertex
-    count is the largest count given or one past the largest endpoint.
+    count is the largest count given or one past the largest endpoint.  The
+    whole file is checked against the grammar first, then parsed in one
+    ``np.loadtxt`` call that skips the ``n`` lines as comments.
     """
-    count = 0
-    pairs = []
-    first = True
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            tok = line.partition("#")[0].split()
-            if not tok:
-                continue
-            try:
-                if tok[0] == "n" and len(tok) == 2:
-                    count = max(count, int(tok[1]))
-                elif len(tok) == 1 and first:
-                    count = int(tok[0])
-                else:
-                    u, v = tok
-                    pairs.append((int(u), int(v)))
-            except ValueError:
-                raise ParameterError(
-                    "line %d: expected 'n <count>' or '<u> <v>', got %r"
-                    % (lineno, " ".join(tok))) from None
-            first = False
-    n = max(count, max(map(max, pairs)) + 1) if pairs else count
-    return graph_from_edges(n, pairs)
+        text = fh.read()
+    counts, start = [], 0
+    lone = _LONE_COUNT.match(text)
+    if lone:
+        counts, start = [lone.group(1)], lone.end()
+    bad = _BAD_EDGE_LIST_LINE.search(text, start)
+    if bad:
+        line = text[bad.start():].split("\n", 1)[0]
+        raise ParameterError(
+            "line %d: expected 'n <count>' or '<u> <v>', got %r"
+            % (text.count("\n", 0, bad.start()) + 1,
+               " ".join(line.partition("#")[0].split())))
+    count = max(map(int, counts + _COUNT.findall(text, start)), default=0)
+    pairs = np.empty((0, 2), dtype=np.intp)
+    if re.search(r"^[ \t]*[+-]?\d", text[start:], re.M | re.A):
+        pairs = np.loadtxt(text[start:].split("\n"), dtype=np.intp,
+                           comments=("#", "n"), ndmin=2)
+    n = max(count, int(pairs.max()) + 1) if len(pairs) else count
+    return Graph(n, pairs)
 
 
 def write_dimacs(g, path):
     with open(path, "w") as fh:
         fh.write("p edge %d %d\n" % (g.n, g.m))
-        for u, v in g.sorted_edges():
-            fh.write("e %d %d\n" % (u + 1, v + 1))
+        fh.write(("e %d %d\n" * g.m) % tuple((g.edge_array + 1).ravel().tolist()))
 
 
 def read_dimacs(path):
     n = 0
     pairs = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             tok = line.split()
-            if not tok or tok[0] == "c":
+            if not tok or tok[0] not in ("p", "e"):
                 continue
-            if tok[0] == "p":
-                n = int(tok[2])
-            elif tok[0] == "e":
-                pairs.append((int(tok[1]) - 1, int(tok[2]) - 1))
-    return graph_from_edges(n, pairs)
+            try:
+                if tok[0] == "p":
+                    n = int(tok[2])
+                else:
+                    pairs.append((int(tok[1]) - 1, int(tok[2]) - 1))
+            except (IndexError, ValueError):
+                raise ParameterError(
+                    "line %d: expected 'p edge <n> <m>' or 'e <u> <v>', got %r"
+                    % (lineno, " ".join(tok))) from None
+    return Graph(n, pairs)
 
 
 def generate(spec):
@@ -378,4 +405,9 @@ def generate(spec):
     }
     if family not in table:
         raise ParameterError("unknown family %r" % family)
+    arity = len(inspect.signature(table[family]).parameters)
+    if len(params) != arity:
+        raise ParameterError("family %r takes %d parameter%s, got %d"
+                             % (family, arity, "" if arity == 1 else "s",
+                                len(params)))
     return table[family](*params)

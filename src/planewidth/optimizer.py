@@ -18,7 +18,7 @@ from .coloring import greedy_dsatur
 from .geometry import INF, L2, NormSpec, lp_lengths
 from .graphs import ParameterError
 from .realization import COMPLETE_WIDTH, InfeasibleError, Realization, \
-    evaluate, feasibilize, realization_from_array
+    evaluate, feasibilize
 
 _TIE_EPS = 1e-12        # distance floor so gradients stay finite at ties
 _STAGES = 8             # annealing stages, geometric in sharpness and penalty
@@ -173,7 +173,7 @@ def optimize(g, cfg=None):
     best = None
     for restart in range(cfg.restarts):
         try:
-            r = feasibilize(g, realization_from_array(x[restart], cfg.norm))
+            r = feasibilize(g, Realization(x[restart], cfg.norm))
         except InfeasibleError:
             continue
         ev = evaluate(g, r, tol=1e-9)
@@ -285,5 +285,4 @@ def brute_force(g, resolution, d_max=None, max_n=4):
 
     if best["points"] is None:
         raise AssertionError("oracle found no feasible grid placement")
-    r = realization_from_array(np.array(best["points"]), L2)
-    return best["width"], r
+    return best["width"], Realization(best["points"], L2)

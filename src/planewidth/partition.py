@@ -225,10 +225,9 @@ def extract_coloring(g, r, scheme):
         raise PartitionPreconditionError(
             "width %.12g exceeds scheme-%d threshold %.12g"
             % (ev.width, scheme, thr), threshold=thr)
-    arr = r.array()
     if ev.width == 0.0:
         return coloring_from_list([0] * g.n)
-    labels = partition_unit(arr / ev.width, scheme)
+    labels = partition_unit(r.array() / ev.width, scheme)
     return _compact(labels, g.n)
 
 

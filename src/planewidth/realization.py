@@ -16,7 +16,7 @@ import numpy as np
 from .coloring import check_proper
 from .geometry import INF, L2, LINE, LINF, SQRT3, NormSpec, diameter, \
     edge_lengths, pal_hexagon
-from .graphs import ParameterError
+from .graphs import ParameterError, verify_homomorphism
 
 SQRT2 = math.sqrt(2.0)
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -45,33 +45,51 @@ class CertificateError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Realization:
-    points: tuple            # one coordinate tuple per vertex
+    """One point per vertex under a norm.
+
+    Built from any (n, dim) array-like, such as a tuple of coordinate tuples;
+    ``coords`` then holds the points as a read-only (n, dim) float array,
+    which ``array()`` returns, and ``points`` gives them back as tuples.
+    """
+
+    coords: np.ndarray
     norm: NormSpec = L2
 
     def __post_init__(self):
-        pts = tuple(tuple(float(x) for x in p) for p in self.points)
-        for p in pts:
-            if len(p) != self.norm.dim:
-                raise ParameterError("point dimension != norm dimension")
-            if not all(math.isfinite(x) for x in p):
-                raise ParameterError("non-finite coordinate")
-        object.__setattr__(self, "points", pts)
+        arr = np.array(self.coords, dtype=float)
+        if arr.shape == (0,):
+            arr = arr.reshape(0, self.norm.dim)
+        if arr.ndim != 2 or arr.shape[1] != self.norm.dim:
+            raise ParameterError("point dimension != norm dimension")
+        if not np.isfinite(arr).all():
+            raise ParameterError("non-finite coordinate")
+        arr.flags.writeable = False
+        object.__setattr__(self, "coords", arr)
+
+    def __eq__(self, other):
+        return (isinstance(other, Realization) and self.norm == other.norm
+                and np.array_equal(self.coords, other.coords))
+
+    def __hash__(self):
+        return hash((self.norm, self.points))
 
     @property
     def n(self):
-        return len(self.points)
+        return len(self.coords)
+
+    @property
+    def points(self):
+        return tuple(zip(*self.coords.T.tolist()))
 
     def array(self):
-        return np.asarray(self.points, dtype=float)
+        return self.coords
 
 
 def realization_from_array(arr, norm=L2):
     arr = np.asarray(arr, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    return Realization(tuple(map(tuple, arr)), norm)
+    return Realization(arr[:, None] if arr.ndim == 1 else arr, norm)
 
 
 @dataclass(frozen=True)
@@ -121,8 +139,7 @@ def feasibilize(g, r):
     if abs(shortest - 1.0) <= 1e-12:
         return r
     centroid = arr.mean(axis=0)
-    scaled = centroid + (arr - centroid) / shortest
-    return realization_from_array(scaled, r.norm)
+    return Realization(centroid + (arr - centroid) / shortest, r.norm)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +166,7 @@ def known_complete_arrangement(n):
     else:
         r = 1.0 / (2.0 * math.sin(math.pi / 7.0))       # unit-side heptagon
         pts = _regular(7, r) + [(0.0, 0.0)]
-    return Realization(tuple(pts), L2)
+    return Realization(pts, L2)
 
 
 def _regular(k, radius):
@@ -191,8 +208,7 @@ def lattice_complete_arrangement(n):
     cand.sort()
     if len(cand) < n:
         raise AssertionError("lattice candidate pool too small")
-    pts = [(x, y) for _, _, _, x, y in cand[:n]]
-    return Realization(tuple(pts), L2)
+    return Realization([(x, y) for _, _, _, x, y in cand[:n]], L2)
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +216,12 @@ def lattice_complete_arrangement(n):
 
 
 def color_class_targets(k):
-    """Arrangement the k color classes map onto, as a point list."""
+    """Arrangement the k color classes map onto, as a (k, 2) array."""
     if k <= 0:
         raise ParameterError("k must be positive")
-    if k <= 3:
-        return list(known_complete_arrangement(3).points)[:max(k, 1)]
     if k <= 8:
-        return list(known_complete_arrangement(k).points)
-    return list(lattice_complete_arrangement(k).points)
+        return known_complete_arrangement(max(k, 2)).array()[:k]
+    return lattice_complete_arrangement(k).array()
 
 
 def _require_proper_certificate(g, c):
@@ -221,8 +235,7 @@ def from_coloring(g, c):
     """Map every color class to one vertex of a known complete arrangement."""
     _require_proper_certificate(g, c)
     targets = color_class_targets(max(c.k, 1))
-    pts = tuple(targets[c.colors[v]] for v in range(g.n))
-    return Realization(pts, L2)
+    return Realization(targets[np.asarray(c.colors, dtype=np.intp)], L2)
 
 
 def from_circular(g, angles, chi_c):
@@ -236,43 +249,30 @@ def from_circular(g, angles, chi_c):
     if len(angles) != g.n:
         raise ParameterError("need one angle per vertex")
     gap = 2.0 * math.pi / chi_c
-    for u, v in g.sorted_edges():
-        delta = abs(angles[u] - angles[v]) % (2.0 * math.pi)
-        delta = min(delta, 2.0 * math.pi - delta)
-        if delta < gap - 1e-9:
-            raise CertificateError("edge (%d, %d) has angular gap %.6f < %.6f"
-                                   % (u, v, delta, gap), witness=(u, v))
+    a = np.asarray(angles, dtype=float)[g.edge_array]
+    delta = np.abs(a[:, 0] - a[:, 1]) % (2.0 * math.pi)
+    delta = np.minimum(delta, 2.0 * math.pi - delta)
+    bad = np.flatnonzero(delta < gap - 1e-9)
+    if len(bad):
+        u, v = g.edge_array[bad[0]].tolist()
+        raise CertificateError("edge (%d, %d) has angular gap %.6f < %.6f"
+                               % (u, v, delta[bad[0]], gap), witness=(u, v))
     r = 1.0 / (2.0 * math.sin(math.pi / chi_c))
-    pts = tuple((r * math.cos(angles[v]), r * math.sin(angles[v]))
-                for v in range(g.n))
-    return Realization(pts, L2)
+    return Realization([(r * math.cos(t), r * math.sin(t)) for t in angles], L2)
 
 
 def pullback(phi, r_target):
     """Compose a homomorphism with a realization of its target."""
-    from .graphs import verify_homomorphism
     if not verify_homomorphism(phi):
         raise CertificateError("map is not a homomorphism")
     if r_target.n != phi.target.n:
         raise ParameterError("realization does not match target graph")
-    pts = tuple(r_target.points[phi.map[v]] for v in range(phi.source.n))
-    return Realization(pts, r_target.norm)
+    return Realization(r_target.array()[np.asarray(phi.map, dtype=np.intp)],
+                       r_target.norm)
 
 
 # ---------------------------------------------------------------------------
 # Composition constructions
-
-
-def _rigid_to_axis(arr, i, j):
-    """Rotate/translate so point i sits at the origin and j on the -x axis."""
-    a, b = arr[i], arr[j]
-    d = b - a
-    norm = math.hypot(d[0], d[1])
-    if norm == 0.0:
-        return arr - a
-    ca, sa = -d[0] / norm, d[1] / norm      # rotate so (b - a) -> (-norm, 0)
-    rot = np.array([[ca, -sa], [sa, ca]])
-    return (arr - a) @ rot.T
 
 
 def join_realization(g, h, r_g, r_h):
@@ -285,22 +285,27 @@ def join_realization(g, h, r_g, r_h):
     ag = _aligned(r_g)
     ah = _aligned(r_h)
     sep = 1.0 + max(ag[:, 0].max(), 0.0) + max(ah[:, 0].max(), 0.0)
-    return realization_from_array(np.vstack([ag, (sep, 0.0) - ah]), L2)
+    return Realization(np.vstack([ag, (sep, 0.0) - ah]), L2)
 
 
 def _aligned(r):
+    """Rotate/translate so one diametral point a sits at the origin, b on -x."""
     arr = r.array()
     if r.n == 1:
         return arr - arr[0]
     _, (i, j) = diameter(arr, r.norm)
-    return _rigid_to_axis(arr, i, j)
+    a, d = arr[i], arr[j] - arr[i]
+    norm = math.hypot(d[0], d[1])
+    if norm == 0.0:
+        return arr - a
+    ca, sa = -d[0] / norm, d[1] / norm      # rotate so (b - a) -> (-norm, 0)
+    return (arr - a) @ np.array([[ca, -sa], [sa, ca]]).T
 
 
 def product_realization(g, h, r_g, r_h):
     """Vector-sum arrangement of the Cartesian product (vertex (u,x) = u*h.n+x)."""
     ag, ah = r_g.array(), r_h.array()
-    pts = (ag[:, None, :] + ah[None, :, :]).reshape(-1, 2)
-    return realization_from_array(pts, L2)
+    return Realization((ag[:, None, :] + ah[None, :, :]).reshape(-1, 2), L2)
 
 
 def union_realization(g, h, r_g, r_h):
@@ -316,7 +321,7 @@ def union_realization(g, h, r_g, r_h):
         rot = np.array([[math.cos(t), -math.sin(t)],
                         [math.sin(t), math.cos(t)]])
         out.append((arr - np.asarray(hexa.center)) @ rot.T)
-    return realization_from_array(np.vstack(out), L2)
+    return Realization(np.vstack(out), L2)
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +336,12 @@ def low_dim_realization(g, c, mode):
     max-norm width is s-1, strictly below sqrt(k).
     """
     _require_proper_certificate(g, c)
-    k = max(c.k, 1)
+    colors = np.asarray(c.colors, dtype=np.intp)
     if mode == "line":
-        pts = tuple((float(c.colors[v]),) for v in range(g.n))
-        return Realization(pts, LINE)
+        return Realization(colors[:, None], LINE)
     if mode == "linf-grid":
-        s = int(math.ceil(math.sqrt(k)))
-        pts = tuple((float(c.colors[v] % s), float(c.colors[v] // s))
-                    for v in range(g.n))
-        return Realization(pts, LINF)
+        s = int(math.ceil(math.sqrt(max(c.k, 1))))
+        return Realization(np.stack([colors % s, colors // s], axis=1), LINF)
     raise ParameterError("mode must be 'line' or 'linf-grid'")
 
 
@@ -348,13 +350,14 @@ def low_dim_realization(g, c, mode):
 
 
 def _fmt(x):
-    return "%.17g" % x
+    # JSON reads "-0" back as the integer 0, so negative zero keeps a ".0"
+    return "-0.0" if x == 0.0 and math.copysign(1.0, x) < 0 else "%.17g" % x
 
 
 def write_realization(r, path):
     norm = '"inf"' if r.norm.p == INF else _fmt(r.norm.p)
     rows = ",\n    ".join(
-        "[" + ", ".join(_fmt(x) for x in p) + "]" for p in r.points)
+        "[" + ", ".join(_fmt(x) for x in p) + "]" for p in r.array().tolist())
     with open(path, "w") as fh:
         fh.write('{\n  "n": %d,\n  "norm": %s,\n  "dim": %d,\n  "points": [\n    %s\n  ]\n}\n'
                  % (r.n, norm, r.norm.dim, rows))
@@ -376,6 +379,6 @@ def read_realization(path):
     try:
         p = INF if obj["norm"] == "inf" else float(obj["norm"])
         norm = NormSpec(p, int(obj["dim"]))
-        return Realization(tuple(map(tuple, rows)), norm)
+        return Realization(rows, norm)
     except TypeError as exc:
         raise ParameterError("malformed realization: %s" % exc) from None

@@ -246,3 +246,29 @@ def test_bounds_angles_file_errors(capsys, tmp_path, angles, fragments):
     a = write_text(tmp_path, "angles.txt", angles)
     assert_input_error(run(capsys, "bounds", g, "--angles", a, "--chi-c", "3"),
                        *fragments)
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ("p edge\ne 1 2\n", "line 1"),
+    ("p edge 2 1\ne 1\n", "line 2"),
+])
+def test_dimacs_short_line(capsys, tmp_path, text, fragment):
+    g = write_text(tmp_path, "bad.col", text)
+    assert_input_error(run(capsys, "bounds", g), fragment,
+                       "expected 'p edge <n> <m>' or 'e <u> <v>'")
+
+
+@pytest.mark.parametrize("family, params, fragment", [
+    ("complete", [], "family 'complete' takes 1 parameter, got 0"),
+    ("petersen", ["3"], "family 'petersen' takes 0 parameters, got 1"),
+    ("circulant", ["25"], "family 'circulant' takes 2 parameters, got 1"),
+])
+def test_gen_wrong_parameter_count(capsys, tmp_path, family, params, fragment):
+    out = str(tmp_path / "x.txt")
+    assert_input_error(run(capsys, "gen", "--family", family,
+                           "--params", *params, "-o", out), fragment)
+    assert not os.path.exists(out)
+
+
+def test_unreadable_graph_path(capsys, tmp_path):
+    assert_input_error(run(capsys, "bounds", str(tmp_path)), str(tmp_path))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planewidth.graphs import (
     Graph, Homomorphism, ParameterError, cartesian, circulant, circle_star,
@@ -247,3 +248,50 @@ def test_edge_array_matches_sorted_edges():
         assert arr.dtype == np.intp and arr.shape == (g.m, 2)
         assert np.array_equal(arr, np.array(g.sorted_edges()).reshape(-1, 2))
         assert g.edge_array is arr and not arr.flags.writeable
+
+
+_pairs = st.integers(1, 25).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1),
+                                   st.integers(0, n - 1))
+                         .filter(lambda e: e[0] != e[1]), max_size=60)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_pairs)
+def test_graph_normalises_repeated_and_reversed_pairs(case):
+    n, pairs = case
+    g = Graph(n, pairs + [(v, u) for u, v in pairs[::2]])
+    assert g.edges == {(min(e), max(e)) for e in pairs}
+    assert g.sorted_edges() == sorted(g.edges)
+
+
+@pytest.mark.parametrize("write, read", [(write_edge_list, read_edge_list),
+                                         (write_dimacs, read_dimacs)])
+def test_file_round_trip_keeps_edge_array(tmp_path, write, read):
+    path = str(tmp_path / "g")
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_pairs)
+    def check(case):
+        g = Graph(*case)
+        write(g, path)
+        back = read(path)
+        assert back.n == g.n and np.array_equal(back.edge_array, g.edge_array)
+
+    check()
+
+
+@pytest.mark.parametrize("pairs", [[(2, 2)], np.array([[2, 2]])])
+def test_graph_errors_show_plain_ints(pairs):
+    with pytest.raises(ParameterError, match=r"^self-loop \(2, 2\)$"):
+        Graph(4, pairs)
+    bad = np.array([[1, 7]]) if isinstance(pairs, np.ndarray) else [(7, 1)]
+    with pytest.raises(ParameterError,
+                       match=r"^edge \(1, 7\) out of range for n=4$"):
+        Graph(4, bad)
+
+
+@pytest.mark.parametrize("n", [-1, 3.5, 2 ** 62])
+def test_graph_vertex_count_must_be_a_bounded_integer(n):
+    with pytest.raises(ParameterError, match="vertex count"):
+        Graph(n, [(0, 1)])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from planewidth.coloring import chromatic_number, coloring_from_list
-from planewidth.geometry import L2, LINE, LINF, NormSpec, diameter, \
+from planewidth.geometry import INF, L2, LINE, LINF, NormSpec, diameter, \
     distance, edge_lengths
 from planewidth.graphs import (
     Homomorphism, ParameterError, cartesian, circulant, complete, cycle,
@@ -464,3 +464,24 @@ def test_realization_file_inf_norm(tmp_path):
     import json
     with open(path) as fh:
         assert json.load(fh)["norm"] == "inf"
+
+
+@pytest.mark.parametrize("norm", [L2, LINF, NormSpec(1.0, 2), LINE,
+                                  NormSpec(INF, 1), NormSpec(1.0, 1)],
+                         ids=["l2", "linf", "l1", "line", "line-inf",
+                              "line-l1"])
+def test_realization_file_round_trip_is_bit_exact(tmp_path, norm):
+    path = str(tmp_path / "r.json")
+    coord = st.floats(allow_nan=False, allow_infinity=False)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(*[coord] * norm.dim), max_size=8))
+    def check(pts):
+        r = Realization(pts, norm)
+        write_realization(r, path)
+        back = read_realization(path)
+        assert back.norm == norm and back.n == r.n
+        assert np.array_equal(back.array().view(np.int64),
+                              r.array().view(np.int64))
+
+    check()
