@@ -202,6 +202,9 @@ def cmd_plot(args):
 
 def render_svg(r, g=None, scale=100.0):
     """2-D scatter with edges and a 1-unit scale bar; 100 px per plane unit."""
+    if g is not None and g.n != r.n:
+        raise ParameterError("realization has %d points but the graph has %d "
+                             "vertices" % (r.n, g.n))
     pts = np.zeros((max(r.n, 1), 2))
     pts[:r.n, :r.norm.dim] = r.array()        # a line sits on y = 0
     xmin, ymin = pts.min(axis=0).tolist()
@@ -242,6 +245,11 @@ def render_svg(r, g=None, scale=100.0):
     return "\n".join(parts)
 
 
+CHI_BUDGET_HELP = ("seconds for the whole chromatic solve: the clique, "
+                   "independence-number and coloring searches share it "
+                   "(default %(default)s)")
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="planewidth")
     sub = ap.add_subparsers(dest="verb", required=True)
@@ -256,7 +264,8 @@ def build_parser():
 
     b = sub.add_parser("bounds", help="certified width interval")
     b.add_argument("graph")
-    b.add_argument("--chi-budget", type=float, default=10.0)
+    b.add_argument("--chi-budget", type=float, default=10.0,
+                   help=CHI_BUDGET_HELP)
     b.add_argument("--opt-restarts", type=int, default=0)
     b.add_argument("--seed", type=int, default=None)
     b.add_argument("--angles")
@@ -271,7 +280,8 @@ def build_parser():
                             "optimize", "line", "linf-grid"])
     r.add_argument("--angles")
     r.add_argument("--chi-c", type=float, default=None)
-    r.add_argument("--chi-budget", type=float, default=10.0)
+    r.add_argument("--chi-budget", type=float, default=10.0,
+                   help=CHI_BUDGET_HELP)
     r.add_argument("--restarts", type=int, default=50)
     r.add_argument("--seed", type=int, default=None)
     r.add_argument("-o", "--output", required=True)

@@ -79,12 +79,19 @@ def read_coloring(path):
 # Maximum clique
 
 
-def max_clique(g):
+class _Timeout(Exception):
+    pass
+
+
+def max_clique(g, deadline=None):
     """A maximum clique as a sorted vertex list.
 
     Branch and bound: candidates are greedily colored and the color count
     bounds the clique extension, pruning subtrees that cannot beat the
-    incumbent.
+    incumbent.  With a ``deadline`` (a ``time.monotonic()`` value) the clock
+    is read every 1024 expansions, once an incumbent exists, and the search
+    stops past it with the largest clique found so far: a maximal clique,
+    of two or more vertices when g has an edge.
     """
     if g.n == 0:
         return []
@@ -93,6 +100,7 @@ def max_clique(g):
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     best = []
+    calls = 0
 
     def color_sort(cand_mask):
         # Greedy coloring of the candidate set; returns vertices ordered so
@@ -113,7 +121,11 @@ def max_clique(g):
         return order, bounds
 
     def expand(clique, cand_mask):
-        nonlocal best
+        nonlocal best, calls
+        calls += 1
+        if (deadline is not None and best and calls % 1024 == 0
+                and time.monotonic() > deadline):
+            raise _Timeout
         order, bounds = color_sort(cand_mask)
         for i in range(len(order) - 1, -1, -1):
             if len(clique) + bounds[i] <= len(best):
@@ -128,7 +140,10 @@ def max_clique(g):
             clique.pop()
             cand_mask &= ~(1 << v)
 
-    expand([], (1 << g.n) - 1)
+    try:
+        expand([], (1 << g.n) - 1)
+    except _Timeout:
+        pass
     return sorted(best)
 
 
@@ -142,7 +157,8 @@ class ChromaticResult:
     upper: int
     coloring: Coloring          # witness for the upper bound
     exact: bool
-    omega: int                  # maximum clique size
+    omega: int                  # largest clique found (the maximum
+                                # unless the budget ran out)
 
     @property
     def chi(self):
@@ -168,30 +184,47 @@ def greedy_dsatur(g):
     return coloring_from_list(colors)
 
 
-class _Timeout(Exception):
-    pass
+def _greedy_independent_set(adj):
+    """An independent set, built by taking the live vertex with the fewest
+    live neighbours (ties to the lowest index) until none is left.
+
+    Its size bounds the independence number from below, so ceil(n / size)
+    bounds ceil(n / alpha) from above: it says when alpha cannot help, and
+    is never a lower bound on the chromatic number itself.
+    """
+    live = set(range(len(adj)))
+    degree = [len(a) for a in adj]
+    chosen = []
+    while live:
+        v = min(live, key=lambda w: (degree[w], w))
+        chosen.append(v)
+        gone = (adj[v] & live) | {v}
+        live -= gone
+        for u in gone:
+            for w in adj[u] & live:
+                degree[w] -= 1
+    return chosen
 
 
-def _exact_chromatic(g, lower, upper_coloring, deadline):
-    """DSATUR-ordered branch and bound; may raise _Timeout."""
-    n = g.n
-    adj = g.adjacency()
+def _exact_chromatic(adj, lower, upper_coloring, deadline):
+    """DSATUR-ordered branch and bound; may raise _Timeout.
+
+    The next vertex has the most distinct colors among its neighbours, then
+    the highest degree, then the lowest index.  key[v] packs that order into
+    one int, sat[v] * n + rank[v]: sat[v], the number of colors forbidden at
+    v, moves by one (key[v] by n) wherever a bit of forbidden[v] is set or
+    cleared, so no choice counts bits.
+    """
+    n = len(adj)
     best_k = upper_coloring.k
     best_colors = list(upper_coloring.colors)
-    colors = [-1] * n
+    colors = [-1] * n               # read only once every vertex is colored
     # forbidden[v] = bitmask of colors unusable at v
     forbidden = [0] * n
-
-    def choose():
-        pick, key = -1, None
-        for v in range(n):
-            if colors[v] >= 0:
-                continue
-            k = (bin(forbidden[v]).count("1"), len(adj[v]), -v)
-            if key is None or k > key:
-                pick, key = v, k
-        return pick
-
+    key = [0] * n
+    for rank, v in enumerate(sorted(range(n), key=lambda v: (len(adj[v]), -v))):
+        key[v] = rank
+    uncolored = set(range(n))
     calls = 0
 
     def branch(used):
@@ -201,27 +234,30 @@ def _exact_chromatic(g, lower, upper_coloring, deadline):
             raise _Timeout
         if used >= best_k:
             return
-        v = choose()
-        if v < 0:
+        if not uncolored:
             best_k = used
             best_colors = list(colors)
             return
+        v = max(uncolored, key=key.__getitem__)
+        uncolored.remove(v)
         limit = min(used + 1, best_k - 1)
         for c in range(limit):
-            if forbidden[v] >> c & 1:
+            bit = 1 << c
+            if forbidden[v] & bit:
                 continue
             colors[v] = c
-            touched = []
-            for w in adj[v]:
-                if colors[w] < 0 and not (forbidden[w] >> c & 1):
-                    forbidden[w] |= 1 << c
-                    touched.append(w)
+            touched = [w for w in adj[v]
+                       if w in uncolored and not forbidden[w] & bit]
+            for w in touched:
+                forbidden[w] |= bit
+                key[w] += n
             branch(max(used, c + 1))
             for w in touched:
-                forbidden[w] &= ~(1 << c)
-            colors[v] = -1
+                forbidden[w] &= ~bit
+                key[w] -= n
             if best_k <= lower:
-                return
+                break
+        uncolored.add(v)
 
     branch(0)
     return best_k, best_colors
@@ -230,11 +266,19 @@ def _exact_chromatic(g, lower, upper_coloring, deadline):
 def chromatic_number(g, budget=10.0):
     """Exact chromatic number within a time budget.
 
-    Universal vertices are peeled first (each adds exactly one color).  The
-    lower bound is max(clique size, ceil(n / independence number)).  On
-    timeout the result carries the best (lower, upper) pair plus a witness
-    coloring for the upper bound.
+    The budget bounds the whole solve: the clique, independence-number and
+    coloring searches share one deadline.  Universal vertices are peeled
+    first (each adds exactly one color).  The lower bound is the clique
+    size, raised to ceil(n / independence number) when a greedy independent
+    set leaves room for that to be larger and the independence-number search
+    ends in time.  On timeout the result carries the best (lower, upper)
+    pair plus a witness coloring for the upper bound; ``exact`` says whether
+    the two were proven equal.
     """
+    return _chromatic(g, time.monotonic() + budget)
+
+
+def _chromatic(g, deadline):
     if g.n == 0:
         return ChromaticResult(0, 0, coloring_from_list([]), True, 0)
     if g.m == 0:
@@ -243,7 +287,7 @@ def chromatic_number(g, budget=10.0):
     # peel universal vertices
     universal = np.bincount(g.edge_array.ravel(), minlength=g.n) == g.n - 1
     if universal.any():
-        sub = chromatic_number(induced_subgraph(g, ~universal), budget)
+        sub = _chromatic(induced_subgraph(g, ~universal), deadline)
         shift = int(universal.sum())
         colors = np.empty(g.n, dtype=np.intp)
         colors[universal] = np.arange(shift)
@@ -252,16 +296,19 @@ def chromatic_number(g, budget=10.0):
         return ChromaticResult(sub.lower + shift, sub.upper + shift,
                                witness, sub.exact, sub.omega + shift)
 
-    omega = len(max_clique(g))
-    alpha = len(max_clique(complement(g)))
-    lower = max(omega, math.ceil(g.n / alpha) if alpha else 1)
+    adj = g.adjacency()
+    omega = lower = len(max_clique(g, deadline))
+    if math.ceil(g.n / len(_greedy_independent_set(adj))) > omega:
+        alpha = len(max_clique(complement(g), deadline))
+        # a cut search gives an independent set, not alpha: no bound then
+        if time.monotonic() <= deadline:
+            lower = max(omega, math.ceil(g.n / alpha))
     greedy = greedy_dsatur(g)
     if greedy.k <= lower:
         return ChromaticResult(greedy.k, greedy.k, greedy, True, omega)
 
-    deadline = time.monotonic() + budget
     try:
-        best_k, best_colors = _exact_chromatic(g, lower, greedy, deadline)
+        best_k, best_colors = _exact_chromatic(adj, lower, greedy, deadline)
         return ChromaticResult(best_k, best_k,
                                Coloring(tuple(best_colors), best_k), True,
                                omega)

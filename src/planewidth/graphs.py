@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -109,6 +110,15 @@ def induced_subgraph(g, keep):
 # Named families
 
 
+def _count(value, name):
+    """value as an int, or ParameterError when it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError("%s must be an integer, got %r"
+                             % (name, value)) from None
+
+
 def complete(n):
     if n < 0:
         raise ParameterError("n must be nonnegative")
@@ -116,6 +126,7 @@ def complete(n):
 
 
 def cycle(n):
+    n = _count(n, "cycle length")
     if n < 3:
         raise ParameterError("cycle needs at least 3 vertices")
     return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
@@ -123,6 +134,7 @@ def cycle(n):
 
 def odd_wheel(cycle_len):
     """Odd cycle plus a hub adjacent to every cycle vertex (hub is vertex n-1)."""
+    cycle_len = _count(cycle_len, "cycle length")
     if cycle_len < 3 or cycle_len % 2 == 0:
         raise ParameterError("odd wheel needs an odd cycle length >= 3")
     hub = cycle_len
@@ -136,6 +148,7 @@ def circulant(p, q):
 
     The circular chromatic number of this family is p/q.
     """
+    q = _count(q, "circulant q")
     if q < 2 or p <= 2 * q:
         raise ParameterError("circulant requires p > 2q >= 4")
     pairs = complete(p).edge_array
@@ -145,6 +158,7 @@ def circulant(p, q):
 
 def circle_star_points(n, eps):
     """The 6n+1 equidistant points on a circle of diameter 2+eps (no center)."""
+    n = _count(n, "circle-star n")
     if n < 2 or eps <= 0:
         raise ParameterError("circle-star requires n >= 2 and eps > 0")
     p = 6 * n + 1

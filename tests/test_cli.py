@@ -272,3 +272,28 @@ def test_gen_wrong_parameter_count(capsys, tmp_path, family, params, fragment):
 
 def test_unreadable_graph_path(capsys, tmp_path):
     assert_input_error(run(capsys, "bounds", str(tmp_path)), str(tmp_path))
+
+
+@pytest.mark.parametrize("family, params, fragment", [
+    ("cycle", ["3.5"], "cycle length must be an integer, got 3.5"),
+    ("odd-wheel", ["5.5"], "cycle length must be an integer, got 5.5"),
+    ("circle-star", ["2.5", "0.1"], "circle-star n must be an integer, got 2.5"),
+    ("circulant", ["7", "2.5"], "circulant q must be an integer, got 2.5"),
+])
+def test_gen_non_integer_count(capsys, tmp_path, family, params, fragment):
+    out = str(tmp_path / "x.txt")
+    assert_input_error(run(capsys, "gen", "--family", family,
+                           "--params", *params, "-o", out), fragment)
+    assert not os.path.exists(out)
+
+
+def test_plot_size_mismatch(capsys, tmp_path):
+    k5 = gen_graph(capsys, tmp_path, "complete", 5)
+    rpath = str(tmp_path / "k5.json")
+    assert run(capsys, "realize", k5, "--method", "table", "-o", rpath)[0] == 0
+    petersen = gen_graph(capsys, tmp_path, "petersen")
+    spath = str(tmp_path / "p.svg")
+    assert_input_error(run(capsys, "plot", rpath, petersen, "-o", spath),
+                       "realization has 5 points but the graph has 10 "
+                       "vertices")
+    assert not os.path.exists(spath)

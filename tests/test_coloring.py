@@ -1,18 +1,24 @@
 """Colorings, max clique, and the exact chromatic number solver."""
 
+import importlib
 import itertools
+import math
+import os
+import sys
+import time
 
 import numpy as np
 import pytest
 
+from planewidth.bounds import pw_interval
 from planewidth.coloring import (
-    Coloring, ImproperColoringError, check_proper, chromatic_number,
-    coloring_from_list, greedy_dsatur, max_clique, read_coloring,
-    require_proper, write_coloring,
+    Coloring, ImproperColoringError, _greedy_independent_set, check_proper,
+    chromatic_number, coloring_from_list, greedy_dsatur, max_clique,
+    read_coloring, require_proper, write_coloring,
 )
 from planewidth.graphs import (
-    circulant, circle_star, complement, complete, cycle, graph_from_edges,
-    groetzsch, join, odd_wheel, petersen,
+    Graph, circulant, circle_star, complement, complete, cycle, generate,
+    graph_from_edges, groetzsch, join, odd_wheel, petersen,
 )
 
 from conftest import random_graph
@@ -149,3 +155,243 @@ def test_complement_chromatic_sanity():
         b = chromatic_number(complement(g))
         assert a.exact and b.exact
         assert a.chi + b.chi <= g.n + 1
+
+
+# ---------------------------------------------------------------------------
+# One deadline over the clique, independence-number and coloring searches
+
+
+def _mycielskian(g):
+    """Mycielski's construction: a copy u' of each vertex u joined to the
+    neighbours of u, and one apex joined to every copy.  It keeps the graph
+    triangle-free and raises the chromatic number by one."""
+    n, e = g.n, g.edge_array
+    copies = np.arange(n) + n
+    return Graph(2 * n + 1, np.concatenate([
+        e, np.stack([e[:, 0], e[:, 1] + n], 1),
+        np.stack([e[:, 1], e[:, 0] + n], 1),
+        np.stack([copies, np.full(n, 2 * n)], 1)]))
+
+
+@pytest.fixture(scope="module")
+def mycielski_95():
+    """M_7 on 95 vertices: K_2 under five Mycielskians, omega 2, chi 7.
+
+    A greedy independent set leaves ceil(95 / |I|) above omega, so the
+    independence-number search runs, and alone it takes about 10 s."""
+    g = complete(2)
+    for _ in range(5):
+        g = _mycielskian(g)
+    assert (g.n, len(max_clique(g))) == (95, 2)
+    assert math.ceil(g.n / len(_greedy_independent_set(g.adjacency()))) > 2
+    return g
+
+
+def test_budget_bounds_the_whole_solve(mycielski_95):
+    g = mycielski_95
+    t0 = time.monotonic()
+    res = chromatic_number(g, budget=0.25)
+    assert time.monotonic() - t0 <= 0.25 + 1.0
+    assert not res.exact
+    assert res.lower <= 7 <= res.upper
+    assert check_proper(g, res.coloring) is None
+    assert res.coloring.k == res.upper
+
+
+def test_independence_bound_kept_when_its_search_ends_in_time():
+    # M_6 on 47 vertices: omega 2, alpha 23 found in milliseconds, chi 6,
+    # which the coloring search cannot prove in the budget.  The timed-out
+    # result keeps ceil(47 / 23) = 3 as its lower bound.
+    g = complete(2)
+    for _ in range(4):
+        g = _mycielskian(g)
+    assert len(max_clique(complement(g))) == 23
+    res = chromatic_number(g, budget=0.25)
+    assert not res.exact
+    assert (res.lower, res.omega) == (3, 2)
+    assert res.upper >= 6
+
+
+def test_pw_interval_budget_names_chi_timeout(mycielski_95):
+    rep = pw_interval(mycielski_95, chi_budget=0.25)
+    assert "chi-timeout" in rep.lower_provenance
+    assert rep.lower <= rep.upper
+
+
+def test_max_clique_deadline(mycielski_95):
+    # the cut search still returns a clique of two or more vertices
+    co = complement(mycielski_95)
+    t0 = time.monotonic()
+    q = max_clique(co, deadline=time.monotonic() - 1.0)
+    assert time.monotonic() - t0 < 1.0
+    assert len(q) >= 2 and q == sorted(q)
+    for u, v in itertools.combinations(q, 2):
+        assert co.has_edge(u, v)
+    # a generous deadline changes nothing; no deadline means maximum size
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        g = random_graph(rng, int(rng.integers(1, 11)), 0.5)
+        q = max_clique(g)
+        assert max_clique(g, deadline=time.monotonic() + 60.0) == q
+        largest = max(k for k in range(g.n + 1)
+                      for s in itertools.combinations(range(g.n), k)
+                      if all(g.has_edge(u, v)
+                             for u, v in itertools.combinations(s, 2)))
+        assert len(q) == largest
+
+
+# ---------------------------------------------------------------------------
+# Soundness: the same results as the solver that always solves alpha
+
+
+def _reference_chromatic(g):
+    """(lower, upper, exact, omega, colors) from the solver as it stood
+    before the independence-number skip: alpha always solved, saturation
+    counted afresh at every choice, no deadline."""
+    n = g.n
+    if n == 0:
+        return 0, 0, True, 0, ()
+    if g.m == 0:
+        return 1, 1, True, 1, (0,) * n
+    universal = np.bincount(g.edge_array.ravel(), minlength=n) == n - 1
+    if universal.any():
+        keep = np.flatnonzero(~universal)
+        label = {int(v): i for i, v in enumerate(keep)}
+        sub = Graph(len(keep), [(label[u], label[v])
+                                for u, v in g.edge_array.tolist()
+                                if u in label and v in label])
+        lo, up, exact, omega, sub_colors = _reference_chromatic(sub)
+        shift = int(universal.sum())
+        colors = [0] * n
+        for i, v in enumerate(np.flatnonzero(universal).tolist()):
+            colors[v] = i
+        for v, c in zip(keep.tolist(), sub_colors):
+            colors[v] = shift + c
+        return lo + shift, up + shift, exact, omega + shift, tuple(colors)
+
+    omega = len(max_clique(g))
+    lower = max(omega, math.ceil(n / len(max_clique(complement(g)))))
+    greedy = greedy_dsatur(g)
+    if greedy.k <= lower:
+        return greedy.k, greedy.k, True, omega, greedy.colors
+    adj = g.adjacency()
+    colors, forbidden = [-1] * n, [0] * n
+    best = [greedy.k, list(greedy.colors)]
+
+    def branch(used):
+        if used >= best[0]:
+            return
+        free = [v for v in range(n) if colors[v] < 0]
+        if not free:
+            best[:] = [used, list(colors)]
+            return
+        v = max(free, key=lambda w: (bin(forbidden[w]).count("1"),
+                                     len(adj[w]), -w))
+        for c in range(min(used + 1, best[0] - 1)):
+            if forbidden[v] >> c & 1:
+                continue
+            colors[v] = c
+            touched = [w for w in adj[v]
+                       if colors[w] < 0 and not forbidden[w] >> c & 1]
+            for w in touched:
+                forbidden[w] |= 1 << c
+            branch(max(used, c + 1))
+            for w in touched:
+                forbidden[w] &= ~(1 << c)
+            colors[v] = -1
+            if best[0] <= lower:
+                return
+
+    branch(0)
+    return best[0], best[0], True, omega, tuple(best[1])
+
+
+def _as_tuple(res):
+    return res.lower, res.upper, res.exact, res.omega, res.coloring.colors
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
+    sys.path.insert(0, bench)
+    try:
+        yield importlib.import_module("workloads")
+    finally:
+        sys.path.remove(bench)
+
+
+def test_matches_reference_on_random_graphs():
+    rng = np.random.default_rng(808)
+    for _ in range(200):
+        g = random_graph(rng, int(rng.integers(1, 41)),
+                         float(rng.uniform(0.05, 0.9)))
+        assert _as_tuple(chromatic_number(g)) == _reference_chromatic(g), g
+
+
+def test_matches_reference_on_certify_corpus(workloads):
+    # the families and the G(n, p) sweep, relabelled as the benchmark's
+    # certify workload does for its seed 7
+    w = workloads
+    graphs = []
+    for i, (spec, _) in enumerate(w.CERTIFY_FAMILIES):
+        base = generate(spec)
+        edges, _ = w.relabel(base.edge_array, base.n, [7, i])
+        graphs.append(Graph(base.n, edges))
+    for j, (n, p, seed) in enumerate(w.CERTIFY_SWEEP):
+        edges, _ = w.relabel(w.gnp_edges(n, p, seed), n,
+                             [7, len(w.CERTIFY_FAMILIES) + j])
+        graphs.append(Graph(n, edges))
+    for g in graphs:
+        assert _as_tuple(chromatic_number(g)) == _reference_chromatic(g), g
+
+
+def _trap_graph():
+    """chi 3, but the greedy independent set gives ceil(n / |I|) = 4."""
+    return graph_from_edges(7, [(0, 3), (0, 4), (0, 6), (1, 2), (1, 5),
+                                (1, 6), (2, 3), (2, 5), (3, 6), (4, 5),
+                                (4, 6)])
+
+
+def test_greedy_independent_set_is_not_a_chi_bound():
+    # The greedy set takes vertex 0 (degree 3, lowest index), which removes
+    # 3, 4 and 6 and leaves the triangle 1, 2, 5: it ends with two vertices,
+    # while {1, 3, 4} is independent.
+    g = _trap_graph()
+    greedy_set = _greedy_independent_set(g.adjacency())
+    assert greedy_set == [0, 1]
+    assert not any(g.has_edge(u, v) for u, v in [(1, 3), (1, 4), (3, 4)])
+    # ceil(n / |I|) = 4 exceeds chi = 3: the triangle and a 3-coloring
+    assert math.ceil(g.n / len(greedy_set)) == 4
+    assert g.has_edge(1, 2) and g.has_edge(1, 5) and g.has_edge(2, 5)
+    assert check_proper(g, coloring_from_list([1, 2, 0, 2, 2, 1, 0])) is None
+    # DSATUR needs 4 colors, so a solver that took ceil(n / |I|) as a lower
+    # bound would stop at the heuristic and report chi = 4
+    assert greedy_dsatur(g).k == 4
+    for budget in (0.0, 10.0):
+        res = chromatic_number(g, budget=budget)
+        assert res.lower <= 3
+        assert res.exact and res.chi == 3
+        assert check_proper(g, res.coloring) is None
+
+
+def test_cut_independence_search_gives_no_bound(monkeypatch):
+    # An independence-number search cut by the deadline returns an
+    # independent set, here {0, 1}, smaller than alpha = 3: ceil(7 / 2) = 4
+    # would exceed chi = 3, so the solver must drop the term.
+    import planewidth.coloring as coloring
+
+    g = _trap_graph()
+    co = complement(g)
+    solve = coloring.max_clique
+
+    def cut_search(h, deadline=None):
+        if h != co:
+            return solve(h, deadline)
+        while time.monotonic() <= deadline:
+            time.sleep(0.001)
+        return [0, 1]
+
+    monkeypatch.setattr(coloring, "max_clique", cut_search)
+    res = chromatic_number(g, budget=0.05)
+    assert res.lower <= 3
+    assert res.exact and res.chi == 3
