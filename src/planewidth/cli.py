@@ -18,11 +18,11 @@ from . import bounds as bounds_mod
 from . import graphs as graphs_mod
 from .coloring import chromatic_number, write_coloring
 from .geometry import INF, NormSpec
-from .graphs import ParameterError
+from .graphs import CertificateError, ParameterError
 from .optimizer import OptimizeConfig, optimize
 from .partition import PartitionPreconditionError, extract_coloring, \
     tiling_coloring
-from .realization import CertificateError, InfeasibleError, Realization, \
+from .realization import InfeasibleError, Realization, \
     _fmt, evaluate, from_circular, from_coloring, known_complete_arrangement, \
     lattice_complete_arrangement, low_dim_realization, read_realization, \
     write_realization
@@ -98,8 +98,7 @@ def cmd_bounds(args):
     circular = None
     if args.angles:
         if args.chi_c is None:
-            print("--angles requires --chi-c", file=sys.stderr)
-            return 1
+            raise ParameterError("--angles requires --chi-c")
         circular = (_read_angles(args.angles, g.n), args.chi_c)
     report = bounds_mod.pw_interval(
         g, chi_budget=args.chi_budget, opt_restarts=args.opt_restarts,
@@ -137,15 +136,11 @@ def cmd_realize(args):
         r = low_dim_realization(g, chrom.coloring, method)
     elif method == "circular":
         if not args.angles or args.chi_c is None:
-            print("circular method needs --angles and --chi-c", file=sys.stderr)
-            return 1
+            raise ParameterError("circular method needs --angles and --chi-c")
         r = from_circular(g, _read_angles(args.angles, g.n), args.chi_c)
-    elif method == "optimize":
+    else:                                       # "optimize"
         cfg = OptimizeConfig(restarts=args.restarts, seed=_seed(args))
         r = optimize(g, cfg).realization
-    else:
-        print("unknown method %r" % method, file=sys.stderr)
-        return 1
     write_realization(r, args.output)
     ev = evaluate(g, r)
     print("width %s" % _fmt(ev.width))

@@ -13,15 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ParameterError, complement, induced_subgraph
+from .graphs import CertificateError, ParameterError, complement, \
+    induced_subgraph
 
 
-class ImproperColoringError(ValueError):
+class ImproperColoringError(CertificateError):
     """Carries a monochromatic edge as a certificate."""
 
     def __init__(self, edge):
         self.edge = edge
-        super().__init__("monochromatic edge %r" % (edge,))
+        super().__init__("monochromatic edge %r" % (edge,), witness=edge)
 
 
 @dataclass(frozen=True)

@@ -141,6 +141,12 @@ def diameter(pts, norm=L2):
 # Regular hexagon enclosure
 
 
+def _hex_directions(theta, count=3):
+    """(count, 2) unit vectors at theta + k*pi/3 for k = 0..count-1."""
+    return np.array([[math.cos(theta + k * math.pi / 3),
+                      math.sin(theta + k * math.pi / 3)] for k in range(count)])
+
+
 @dataclass(frozen=True)
 class Hexagon:
     center: tuple
@@ -148,9 +154,7 @@ class Hexagon:
     width: float         # distance between opposite sides
 
     def normals(self):
-        t = self.orientation
-        return np.array([[math.cos(t + k * math.pi / 3),
-                          math.sin(t + k * math.pi / 3)] for k in range(3)])
+        return _hex_directions(self.orientation)
 
     def containment_defect(self, pts):
         """Max signed distance of any point beyond the six half-planes."""
@@ -165,10 +169,8 @@ class Hexagon:
     def corners(self):
         """The six vertices, ccw, starting between normals 0 and 1."""
         r = self.width / SQRT3
-        t = self.orientation
-        return np.array([[self.center[0] + r * math.cos(t + math.pi / 6 + k * math.pi / 3),
-                          self.center[1] + r * math.sin(t + math.pi / 6 + k * math.pi / 3)]
-                         for k in range(6)])
+        return (np.asarray(self.center)
+                + r * _hex_directions(self.orientation + math.pi / 6, 6))
 
 
 def _slab_intervals(pts, theta, width):
@@ -177,8 +179,7 @@ def _slab_intervals(pts, theta, width):
     For normal u the hexagon slab is [<c,u> - w/2, <c,u> + w/2]; it contains
     the point slab iff <c,u> lies in [max_p - w/2, min_p + w/2].
     """
-    normals = np.array([[math.cos(theta + k * math.pi / 3),
-                         math.sin(theta + k * math.pi / 3)] for k in range(3)])
+    normals = _hex_directions(theta)
     proj = pts @ normals.T
     lo = proj.max(axis=0) - width / 2.0
     hi = proj.min(axis=0) + width / 2.0

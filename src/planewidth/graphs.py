@@ -21,6 +21,14 @@ class ParameterError(ValueError):
     """Raised when a generator or operator gets invalid parameters."""
 
 
+class CertificateError(ValueError):
+    """A construction precondition failed; carries the offending witness."""
+
+    def __init__(self, message, witness=None):
+        self.witness = witness
+        super().__init__(message)
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """A graph on the vertices 0..n-1.

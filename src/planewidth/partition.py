@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .coloring import coloring_from_list
-from .geometry import L2, SQRT3, diameter, pal_hexagon
+from .geometry import L2, SQRT3, _hex_directions, diameter, pal_hexagon
 from .graphs import ParameterError
 from .realization import evaluate
 
@@ -49,11 +49,8 @@ def partition_unit(points, scheme):
             "diameter %.12g exceeds 1" % d, threshold=1.0)
     if len(pts) == 1:
         return [0]
-    if scheme == 3:
-        return _hex_sectors(pts)
-    if scheme == 4:
-        return _square_quadrants(pts)
-    return _hex_core_rim(pts)
+    split = {3: _hex_sectors, 4: _square_quadrants, 7: _hex_core_rim}[scheme]
+    return split(pts).tolist()
 
 
 def _hex_sectors(pts):
@@ -61,15 +58,12 @@ def _hex_sectors(pts):
     alternating sides; each 120-degree sector has diameter sqrt(3)/2 times
     the hexagon width.  Sector i is inclusive of its lower cut line."""
     hexa = pal_hexagon(pts)
-    c = np.asarray(hexa.center)
-    labels = []
-    for p in pts:
-        rel = p - c
-        if rel[0] == 0.0 and rel[1] == 0.0:
-            labels.append(0)        # hexagon center goes to the first piece
-            continue
-        ang = (math.atan2(rel[1], rel[0]) - hexa.orientation) % (2.0 * math.pi)
-        labels.append(int(ang // (2.0 * math.pi / 3.0)) % 3)
+    rel = pts - np.asarray(hexa.center)
+    # math.atan2, not np.arctan2: the two round differently, which moves
+    # points on a cut line between sectors
+    ang = np.vectorize(math.atan2)(rel[:, 1], rel[:, 0]) - hexa.orientation
+    labels = (ang % (2.0 * math.pi) // (2.0 * math.pi / 3.0)).astype(int) % 3
+    labels[(rel == 0.0).all(axis=1)] = 0    # hexagon center goes to piece 0
     return labels
 
 
@@ -80,59 +74,33 @@ def _square_quadrants(pts):
     (reflecting axes as needed); each closed quadrant minus two boundary
     points is (sqrt(2)/2)-small, and overlap goes to the lowest region index.
     """
-    xmin, ymin = pts.min(axis=0)
-    local = pts - np.array([xmin, ymin])
+    local = pts - pts.min(axis=0)
     side = float(local.max(initial=0.0))
     if side > 1.0:                           # tolerance slack only
         local = local / side
     local = np.clip(local, 0.0, 1.0)
     eps = 1e-12
-    corners = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
-    free = None
-    for cx, cy in corners:
-        if not np.any((np.abs(local[:, 0] - cx) <= eps)
-                      & (np.abs(local[:, 1] - cy) <= eps)):
-            free = (cx, cy)
-            break
-    if free is None:
+    corners = np.array([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
+    taken = (np.abs(local[:, None] - corners) <= eps).all(axis=2).any(axis=0)
+    if taken.all():
         raise AssertionError("no point-free corner on a unit-diameter set")
     # reflect so the free corner becomes (0, 0)
-    if free[0] == 1.0:
-        local[:, 0] = 1.0 - local[:, 0]
-    if free[1] == 1.0:
-        local[:, 1] = 1.0 - local[:, 1]
+    local = np.where(corners[np.argmin(taken)] == 1.0, 1.0 - local, local)
 
     h = 0.5
-
-    def removed(region, x, y):
-        pts_out = {
-            0: ((0.0, h), (h, h)),       # NW
-            1: ((h, h), (h, 1.0)),       # NE
-            2: ((0.0, 0.0), (h, 0.0)),   # SW
-            3: ((h, h), (1.0, h)),       # SE
-        }[region]
-        return any(abs(x - px) <= eps and abs(y - py) <= eps
-                   for px, py in pts_out)
-
-    def members(x, y):
-        out = []
-        if x <= h and y >= h and not removed(0, x, y):
-            out.append(0)
-        if x >= h and y >= h and not removed(1, x, y):
-            out.append(1)
-        if x <= h and y <= h and not removed(2, x, y):
-            out.append(2)
-        if x >= h and y <= h and not removed(3, x, y):
-            out.append(3)
-        return out
-
-    labels = []
-    for x, y in local:
-        regs = members(x, y)
-        if not regs:
-            raise AssertionError("quadrant assignment missed (%g, %g)" % (x, y))
-        labels.append(regs[0])
-    return labels
+    x, y = local[:, 0], local[:, 1]
+    inside = np.stack([(x <= h) & (y >= h), (x >= h) & (y >= h),    # NW, NE
+                       (x <= h) & (y <= h), (x >= h) & (y <= h)],   # SW, SE
+                      axis=1)
+    removed = np.array([[(0.0, h), (h, h)], [(h, h), (h, 1.0)],
+                        [(0.0, 0.0), (h, 0.0)], [(h, h), (1.0, h)]])
+    near = (np.abs(local[:, None, None] - removed) <= eps).all(axis=3)
+    members = inside & ~near.any(axis=2)
+    missed = np.flatnonzero(~members.any(axis=1))
+    if len(missed):
+        raise AssertionError("quadrant assignment missed (%g, %g)"
+                             % tuple(local[missed[0]]))
+    return members.argmax(axis=1)
 
 
 def _hex_core_rim(pts):
@@ -141,67 +109,44 @@ def _hex_core_rim(pts):
     For the enclosing hexagon with side midpoints m_i and vertices p_i, the
     core is the hull of the points q_i placed (sqrt(3)-1)/2 (times the width)
     from m_i toward the opposite midpoint; rim piece i is the hull of
-    q_i, m_i, p_i, m_{i+1}, q_{i+1}.  Overlap goes to the lowest region index
-    (core first), matching the proof's inclusive/exclusive boundary rules.
+    q_i, m_i, p_i, m_{i+1}, q_{i+1}.  A point goes to the first region that
+    holds it up to eps (core first), else to the least violated one, matching
+    the proof's inclusive/exclusive boundary rules.
     """
     hexa = pal_hexagon(pts)
     w = hexa.width
     if w == 0.0:
-        return [0] * len(pts)
-    c = np.asarray(hexa.center)
+        return np.zeros(len(pts), dtype=int)
     corners = hexa.corners()                       # p_0..p_5, ccw
-    mids = np.array([(corners[i - 1] + corners[i]) / 2.0 for i in range(6)])
-    toward = c - mids                              # midpoint -> center, length w/2
+    mids = (np.roll(corners, 1, axis=0) + corners) / 2.0
+    toward = np.asarray(hexa.center) - mids        # midpoint -> center, length w/2
     q = mids + toward / (w / 2.0) * ((SQRT3 - 1.0) / 2.0 * w)
+    q1, mids1 = np.roll(q, -1, axis=0), np.roll(mids, -1, axis=0)
+    rims = np.stack([q, mids, corners, mids1, q1], axis=1)
+    violation = np.hstack([_violation(pts, q[None]), _violation(pts, rims)])
 
     # excluded boundary points keep each piece strictly small: the core
     # gives up the q_i, rim piece i gives up q_{i+1} and m_{i+1}
-    regions = [(_ConvexRegion(q), list(q))]        # core, index 0
-    for i in range(6):
-        hull = np.array([q[i], mids[i], corners[i],
-                         mids[(i + 1) % 6], q[(i + 1) % 6]])
-        regions.append((_ConvexRegion(hull),
-                        [q[(i + 1) % 6], mids[(i + 1) % 6]]))
-
     eps = 1e-12 * max(w, 1.0)
-    labels = []
-    for p in pts:
-        hit = None
-        slack_best, arg_best = math.inf, None
-        for idx, (reg, excluded) in enumerate(regions):
-            if any(math.hypot(p[0] - e[0], p[1] - e[1]) <= eps
-                   for e in excluded):
-                continue
-            s = reg.violation(p)
-            if s <= eps:
-                hit = idx
-                break
-            if s < slack_best:
-                slack_best, arg_best = s, idx
-        if hit is None:
-            # numeric sliver between region boundaries
-            hit = arg_best
-        labels.append(hit)
-    return labels
+    diff = pts[:, None] - np.concatenate([q, mids])
+    near_q, near_m = np.split(np.hypot(diff[..., 0], diff[..., 1]) <= eps, 2,
+                              axis=1)
+    excluded = np.column_stack([near_q.any(axis=1),
+                                np.roll(near_q | near_m, -1, axis=1)])
+    violation[excluded] = math.inf
+    hit = violation <= eps
+    return np.where(hit.any(axis=1), hit.argmax(axis=1),
+                    violation.argmin(axis=1))      # numeric sliver: least out
 
 
-class _ConvexRegion:
-    """Closed convex polygon given by its ccw vertex loop."""
-
-    def __init__(self, verts):
-        self.verts = np.asarray(verts, dtype=float)
-        v = self.verts
-        nxt = np.roll(v, -1, axis=0)
-        edges = nxt - v
-        # inward normals for ccw ordering
-        self.normals = np.stack([-edges[:, 1], edges[:, 0]], axis=1)
-        lens = np.linalg.norm(self.normals, axis=1)
-        self.normals /= lens[:, None]
-        self.offsets = (self.normals * v).sum(axis=1)
-
-    def violation(self, p):
-        """Max signed distance outside any edge; <= 0 means inside."""
-        return float(np.max(self.offsets - self.normals @ np.asarray(p)))
+def _violation(pts, loops):
+    """(n, r) max signed distance of each point outside each of the r convex
+    polygons in ``loops`` ((r, k, 2), ccw); <= 0 means inside."""
+    edges = np.roll(loops, -1, axis=1) - loops
+    normals = np.stack([-edges[..., 1], edges[..., 0]], axis=-1)   # inward
+    normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
+    offsets = (normals * loops).sum(axis=-1)
+    return (offsets - np.einsum("nd,rkd->nrk", pts, normals)).max(axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -215,30 +160,29 @@ def extract_coloring(g, r, scheme):
     1-small at the original scale whenever the width is at most the scheme
     threshold, so no edge can be monochromatic.
     """
+    if scheme not in SCHEME_THRESHOLD:
+        raise ParameterError("scheme must be 3, 4 or 7")
+    thr = SCHEME_THRESHOLD[scheme]
     ev = evaluate(g, r)
     if not ev.valid:
         raise PartitionPreconditionError("realization is invalid")
-    thr = SCHEME_THRESHOLD[scheme] if scheme in SCHEME_THRESHOLD else None
-    if thr is None:
-        raise ParameterError("scheme must be 3, 4 or 7")
     if ev.width > thr + 1e-9:
         raise PartitionPreconditionError(
             "width %.12g exceeds scheme-%d threshold %.12g"
             % (ev.width, scheme, thr), threshold=thr)
     if ev.width == 0.0:
         return coloring_from_list([0] * g.n)
-    labels = partition_unit(r.array() / ev.width, scheme)
-    return _compact(labels, g.n)
+    return _compact(partition_unit(r.array() / ev.width, scheme))
 
 
-def _compact(labels, n):
-    seen = {}
-    out = []
-    for lab in labels:
-        if lab not in seen:
-            seen[lab] = len(seen)
-        out.append(seen[lab])
-    return coloring_from_list(out if n else [])
+def _compact(labels):
+    """Relabel 0, 1, ... in order of first appearance; ``labels`` holds one
+    label, or one row of labels, per vertex."""
+    _, first, inverse = np.unique(np.asarray(labels), axis=0,
+                                  return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return coloring_from_list(rank[inverse.reshape(-1)].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -271,47 +215,34 @@ def tiling_coloring(g, r):
     if d == 0.0:
         return coloring_from_list([0] * g.n), 1
     t = tiling_parameter(d)
-    s = d / (3.0 * t)
+    step = SQRT3 * (d / (3.0 * t))             # cell side d/(3t), times sqrt 3
     hexa = pal_hexagon(r.array())
-    c = np.asarray(hexa.center)
-    alpha = hexa.orientation + math.pi / 6.0   # cell normals; corners of the
-    # enclosure lie along these directions, t lattice steps from the center
-    ua = np.array([math.cos(alpha), math.sin(alpha)])
-    ub = np.array([math.cos(alpha + math.pi / 3.0),
-                   math.sin(alpha + math.pi / 3.0)])
-    step = SQRT3 * s
-    basis = np.stack([ua * step, ub * step], axis=1)   # columns
-    inv = np.linalg.inv(basis)
-
-    cells = []
-    for p in r.array():
-        cell = _nearest_hex_cell(inv @ (p - c))
-        if _hex_distance(cell) > t:
-            raise PartitionPreconditionError(
-                "point fell outside the %d designated cells"
-                % tiling_color_cap(t))
-        cells.append(cell)
-    return _compact(cells, g.n), t
+    # cell normals: the enclosure's corners lie along these directions,
+    # t lattice steps from the center
+    basis = (_hex_directions(hexa.orientation + math.pi / 6.0, 2) * step).T
+    frac = (r.array() - np.asarray(hexa.center)) @ np.linalg.inv(basis).T
+    cells = _nearest_hex_cells(frac)
+    steps_out = (np.abs(cells).sum(axis=1) + np.abs(cells.sum(axis=1))) // 2
+    if steps_out.max() > t:
+        raise PartitionPreconditionError(
+            "point fell outside the %d designated cells" % tiling_color_cap(t))
+    return _compact(cells), t
 
 
-def _hex_distance(cell):
-    i, j = cell
-    return (abs(i) + abs(j) + abs(i + j)) // 2
-
-
-def _nearest_hex_cell(frac):
-    """Nearest tiling-cell center in axial coordinates, by cube rounding.
+def _nearest_hex_cells(frac):
+    """Nearest tiling-cell centers of the (n, 2) axial coordinates ``frac``,
+    as an (n, 2) int array, by cube rounding.
 
     With x = i, z = j and y = -x - z, round all three and recompute the one
     with the largest rounding error from the other two
     (https://www.redblobgames.com/grids/hexagons/#rounding).
     """
-    x, z = float(frac[0]), float(frac[1])
-    y = -x - z
-    rx, ry, rz = round(x), round(y), round(z)
-    dx, dy, dz = abs(rx - x), abs(ry - y), abs(rz - z)
-    if dx > dy and dx > dz:
-        rx = -ry - rz
-    elif dz >= dy:
-        rz = -rx - ry
-    return rx, rz
+    x, z = frac[:, 0], frac[:, 1]
+    cube = np.stack([x, -x - z, z], axis=1)
+    rounded = np.rint(cube)
+    dx, dy, dz = np.abs(rounded - cube).T
+    rx, ry, rz = rounded.T
+    fix_x = (dx > dy) & (dx > dz)
+    rx = np.where(fix_x, -ry - rz, rx)
+    rz = np.where(~fix_x & (dz >= dy), -rx - ry, rz)
+    return np.stack([rx, rz], axis=1).astype(int)

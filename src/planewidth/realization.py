@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import check_proper
+from .coloring import require_proper
 from .geometry import INF, L2, LINE, LINF, SQRT3, NormSpec, diameter, \
     edge_lengths, pal_hexagon
-from .graphs import ParameterError, verify_homomorphism
+from .graphs import CertificateError, ParameterError, verify_homomorphism
 
 SQRT2 = math.sqrt(2.0)
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -35,14 +35,6 @@ COMPLETE_WIDTH = {
 
 class InfeasibleError(ValueError):
     pass
-
-
-class CertificateError(ValueError):
-    """A construction precondition failed; carries the offending witness."""
-
-    def __init__(self, message, witness=None):
-        self.witness = witness
-        super().__init__(message)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,16 +216,9 @@ def color_class_targets(k):
     return lattice_complete_arrangement(k).array()
 
 
-def _require_proper_certificate(g, c):
-    bad = check_proper(g, c)
-    if bad is not None:
-        raise CertificateError("monochromatic edge (%d, %d)" % bad,
-                               witness=bad)
-
-
 def from_coloring(g, c):
     """Map every color class to one vertex of a known complete arrangement."""
-    _require_proper_certificate(g, c)
+    require_proper(g, c)
     targets = color_class_targets(max(c.k, 1))
     return Realization(targets[np.asarray(c.colors, dtype=np.intp)], L2)
 
@@ -335,7 +320,7 @@ def low_dim_realization(g, c, mode):
     linf-grid: color i at (i mod s, i div s) with s = ceil(sqrt(k)); the
     max-norm width is s-1, strictly below sqrt(k).
     """
-    _require_proper_certificate(g, c)
+    require_proper(g, c)
     colors = np.asarray(c.colors, dtype=np.intp)
     if mode == "line":
         return Realization(colors[:, None], LINE)

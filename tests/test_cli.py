@@ -297,3 +297,22 @@ def test_plot_size_mismatch(capsys, tmp_path):
                        "realization has 5 points but the graph has 10 "
                        "vertices")
     assert not os.path.exists(spath)
+
+
+def test_bounds_angles_without_chi_c(capsys, tmp_path):
+    g = write_text(tmp_path, "k3.txt", "n 3\n0 1\n1 2\n0 2\n")
+    a = write_text(tmp_path, "angles.txt", "0 0\n1 2\n2 4\n")
+    assert_input_error(run(capsys, "bounds", g, "--angles", a),
+                       "--angles requires --chi-c")
+
+
+@pytest.mark.parametrize("extra", [[], ["--chi-c", "3"], ["--angles", "A"]])
+def test_realize_circular_without_angles_or_chi_c(capsys, tmp_path, extra):
+    g = write_text(tmp_path, "k3.txt", "n 3\n0 1\n1 2\n0 2\n")
+    a = write_text(tmp_path, "angles.txt", "0 0\n1 2\n2 4\n")
+    out = str(tmp_path / "r.json")
+    argv = ["realize", g, "--method", "circular", "-o", out]
+    argv += [a if arg == "A" else arg for arg in extra]
+    assert_input_error(run(capsys, *argv),
+                       "circular method needs --angles and --chi-c")
+    assert not os.path.exists(out)

@@ -38,6 +38,7 @@ def test_check_proper():
     with pytest.raises(ImproperColoringError) as ei:
         require_proper(g, coloring_from_list([0, 0, 1, 1]))
     assert ei.value.edge == (0, 1)
+    assert ei.value.witness == (0, 1)
 
 
 def test_coloring_file_round_trip(tmp_path):

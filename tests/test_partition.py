@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from planewidth import partition
 from planewidth.coloring import check_proper
-from planewidth.geometry import diameter
+from planewidth.geometry import Hexagon, diameter, pal_hexagon
 from planewidth.graphs import complete, cycle, graph_from_edges
 from planewidth.partition import (
     SCHEME_DELTA, SCHEME_THRESHOLD, PartitionPreconditionError,
-    _nearest_hex_cell, extract_coloring, partition_unit, tiling_color_cap,
+    _nearest_hex_cells, extract_coloring, partition_unit, tiling_color_cap,
     tiling_coloring, tiling_parameter,
 )
 from planewidth.realization import (
@@ -79,6 +80,52 @@ def test_partition_boundary_points():
                    [1.0, 0.5], [0.5, 1.0], [1.0, 1.0]]) / math.sqrt(2)
     for scheme in (3, 4, 7):
         check_partition(sq, scheme)
+
+
+def hexagon_frames(count, seed=77):
+    """Seeded enclosing hexagons (width 1 or below, any orientation) with
+    their center c, side midpoints m_i and core vertices q_i."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        w = 1.0 if k % 2 == 0 else float(rng.uniform(0.3, 1.0))
+        hexa = Hexagon(tuple(rng.uniform(-2.0, 2.0, 2).tolist()),
+                       float(rng.uniform(0.0, math.pi / 3)), w)
+        corners = hexa.corners()
+        c = np.asarray(hexa.center)
+        m = (np.roll(corners, 1, axis=0) + corners) / 2.0
+        yield hexa, c, m, m + (math.sqrt(3) - 1.0) * (c - m)
+
+
+def partition_in(monkeypatch, hexa, pts, scheme):
+    # pin the enclosing hexagon the points were built from
+    assert hexa.contains(pts)
+    monkeypatch.setattr(partition, "pal_hexagon", lambda _: hexa)
+    return check_partition(pts, scheme)
+
+
+def test_scheme7_core_rim_boundaries_and_excluded_points(monkeypatch):
+    t = np.array([0.25, 0.5, 0.75])[:, None, None]
+    i = np.arange(6)
+    for hexa, c, m, q in hexagon_frames(40):
+        radial = (q + t * (m - q)).reshape(-1, 2)     # rims i-1 and i meet
+        edge = (q + t * (np.roll(q, -1, axis=0) - q)).reshape(-1, 2)
+        pts = np.vstack([m, q, radial, edge])         # edge: core meets rim i
+        labels = partition_in(monkeypatch, hexa, pts, 7)
+        # rim i-1 gives up m_i and q_i, the core gives up q_i: both go to
+        # rim i (label i+1); shared boundaries go to the lower index
+        expected = np.concatenate([1 + i, 1 + i,
+                                   np.tile(1 + np.minimum(i, (i - 1) % 6), 3),
+                                   np.zeros(18, dtype=int)])
+        assert labels == expected.tolist()
+
+
+def test_scheme3_points_on_sector_cut_lines(monkeypatch):
+    t = np.array([0.25, 0.5, 0.75])[:, None, None]
+    for hexa, c, m, _ in hexagon_frames(40):
+        # the cuts run from the center to the midpoints of sides 0, 2 and 4
+        cut = (c + t * (m[[0, 2, 4]] - c)).reshape(-1, 2)
+        labels = partition_in(monkeypatch, hexa, np.vstack([m, cut, c]), 3)
+        assert labels[-1] == 0                        # the center: piece 0
 
 
 def test_extract_coloring_examples():
@@ -203,4 +250,153 @@ def test_nearest_hex_cell_matches_brute_force(i, j):
     dist = sorted((float(np.sum((HEX_BASIS @ (frac - cell)) ** 2)), cell)
                   for cell in cells)
     assume(dist[1][0] - dist[0][0] > 1e-9)          # no tie for nearest
-    assert _nearest_hex_cell(frac) == dist[0][1]
+    assert tuple(_nearest_hex_cells(frac[None])[0].tolist()) == dist[0][1]
+
+
+# ---------------------------------------------------------------------------
+# Per-point reference: the partition and tiling rules one point at a time,
+# as they were written before the array form.  Labels and cells must match.
+
+
+def reference_sectors(pts):
+    hexa = pal_hexagon(pts)
+    labels = []
+    for p in pts:
+        rel = p - np.asarray(hexa.center)
+        if rel[0] == 0.0 and rel[1] == 0.0:
+            labels.append(0)
+            continue
+        ang = (math.atan2(rel[1], rel[0]) - hexa.orientation) % (2 * math.pi)
+        labels.append(int(ang // (2 * math.pi / 3)) % 3)
+    return labels
+
+
+def reference_quadrants(pts):
+    local = pts - pts.min(axis=0)
+    side = float(local.max(initial=0.0))
+    local = np.clip(local / side if side > 1.0 else local, 0.0, 1.0)
+    eps, h = 1e-12, 0.5
+    corners = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+    fx, fy = next(c for c in corners if not np.any(
+        (np.abs(local[:, 0] - c[0]) <= eps) & (np.abs(local[:, 1] - c[1]) <= eps)))
+    if fx == 1.0:
+        local[:, 0] = 1.0 - local[:, 0]
+    if fy == 1.0:
+        local[:, 1] = 1.0 - local[:, 1]
+    removed = [((0.0, h), (h, h)), ((h, h), (h, 1.0)),
+               ((0.0, 0.0), (h, 0.0)), ((h, h), (1.0, h))]
+    labels = []
+    for x, y in local:
+        inside = [x <= h and y >= h, x >= h and y >= h,
+                  x <= h and y <= h, x >= h and y <= h]
+        regs = [k for k in range(4) if inside[k] and not any(
+            abs(x - px) <= eps and abs(y - py) <= eps for px, py in removed[k])]
+        if not regs:
+            raise AssertionError("quadrant assignment missed (%g, %g)" % (x, y))
+        labels.append(regs[0])
+    return labels
+
+
+def reference_violation(verts, p):
+    edges = np.roll(verts, -1, axis=0) - verts
+    normals = np.stack([-edges[:, 1], edges[:, 0]], axis=1)
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    return float(np.max((normals * verts).sum(axis=1) - normals @ p))
+
+
+def reference_core_rim(pts):
+    hexa = pal_hexagon(pts)
+    w = hexa.width
+    if w == 0.0:
+        return [0] * len(pts)
+    c, corners = np.asarray(hexa.center), hexa.corners()
+    mids = np.array([(corners[i - 1] + corners[i]) / 2 for i in range(6)])
+    q = mids + (c - mids) / (w / 2) * ((math.sqrt(3) - 1) / 2 * w)
+    regions = [(q, list(q))] + [
+        (np.array([q[i], mids[i], corners[i], mids[(i + 1) % 6], q[(i + 1) % 6]]),
+         [q[(i + 1) % 6], mids[(i + 1) % 6]]) for i in range(6)]
+    eps = 1e-12 * max(w, 1.0)
+    labels = []
+    for p in pts:
+        best, hit = (math.inf, None), None
+        for idx, (verts, excluded) in enumerate(regions):
+            if any(math.hypot(*(p - e)) <= eps for e in excluded):
+                continue
+            s = reference_violation(verts, p)
+            if s <= eps:
+                hit = idx
+                break
+            best = min(best, (s, idx))
+        labels.append(best[1] if hit is None else hit)
+    return labels
+
+
+def reference_partition(pts, scheme):
+    if len(pts) == 1:
+        return [0]
+    split = {3: reference_sectors, 4: reference_quadrants, 7: reference_core_rim}
+    return split[scheme](pts)
+
+
+def reference_cells(pts, width):
+    t = tiling_parameter(width)
+    hexa = pal_hexagon(pts)
+    alpha = hexa.orientation + math.pi / 6
+    step = math.sqrt(3) * (width / (3 * t))
+    basis = np.array([[math.cos(alpha), math.cos(alpha + math.pi / 3)],
+                      [math.sin(alpha), math.sin(alpha + math.pi / 3)]]) * step
+    inv = np.linalg.inv(basis)
+    seen, colors = {}, []
+    for p in pts:
+        x, z = (float(v) for v in inv @ (p - np.asarray(hexa.center)))
+        y = -x - z
+        rx, ry, rz = round(x), round(y), round(z)
+        dx, dy, dz = abs(rx - x), abs(ry - y), abs(rz - z)
+        if dx > dy and dx > dz:
+            rx = -ry - rz
+        elif dz >= dy:
+            rz = -rx - ry
+        assert (abs(rx) + abs(rz) + abs(rx + rz)) // 2 <= t
+        colors.append(seen.setdefault((rx, rz), len(seen)))
+    return colors
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except AssertionError as exc:
+        return "AssertionError: %s" % exc
+
+
+def test_partitions_match_per_point_reference():
+    rng = np.random.default_rng(2024)
+    sets = [random_unit_diameter_points(rng, int(rng.integers(1, 30)))
+            for _ in range(300)]
+    for k in range(3, 13):                   # regular polygons and grids put
+        a = np.arange(k) * 2 * math.pi / k   # points on cut lines and corners
+        sets.append(0.5 * np.stack([np.cos(a), np.sin(a)], axis=1))
+    for k in range(2, 8):
+        grid = np.array([(i, j) for i in range(k) for j in range(k)], float)
+        sets.append(grid / math.hypot(k - 1, k - 1))
+    for pts in sets:
+        for scheme in (3, 4, 7):
+            assert (outcome(partition_unit, pts, scheme)
+                    == outcome(reference_partition, pts, scheme)), (pts, scheme)
+
+
+def test_tiling_matches_per_point_reference():
+    rng = np.random.default_rng(4242)
+    done = 0
+    while done < 100:
+        n = int(rng.integers(2, 40))
+        g = random_graph(rng, n, float(rng.uniform(0.05, 0.6)))
+        r = realization_from_array(rng.uniform(0, rng.uniform(0.5, 12), (n, 2)))
+        ev = evaluate(g, r)
+        if not ev.valid or ev.width == 0.0:
+            continue
+        c, _ = tiling_coloring(g, r)
+        assert list(c.colors) == reference_cells(r.array(), ev.width)
+        done += 1
+    r = lattice_complete_arrangement(600)
+    c, _ = tiling_coloring(cycle(600), r)
+    assert list(c.colors) == reference_cells(r.array(), diameter(r.array())[0])

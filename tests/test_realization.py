@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from planewidth.coloring import chromatic_number, coloring_from_list
+from planewidth import graphs
+from planewidth.coloring import ImproperColoringError, chromatic_number, \
+    coloring_from_list
 from planewidth.geometry import INF, L2, LINE, LINF, NormSpec, diameter, \
     distance, edge_lengths
 from planewidth.graphs import (
@@ -242,6 +244,19 @@ def test_from_coloring_improper_rejected():
     g = complete(3)
     with pytest.raises(CertificateError):
         from_coloring(g, coloring_from_list([0, 0, 1]))
+
+
+def test_improper_coloring_is_the_certificate_error():
+    # one proper-colouring check: the coloring module's error, carrying the
+    # edge as both its edge and its witness
+    assert CertificateError is graphs.CertificateError
+    for build in (lambda g, c: from_coloring(g, c),
+                  lambda g, c: low_dim_realization(g, c, "linf-grid")):
+        with pytest.raises(ImproperColoringError) as ei:
+            build(cycle(4), coloring_from_list([0, 1, 1, 0]))
+        assert isinstance(ei.value, CertificateError)
+        assert ei.value.edge == ei.value.witness == (0, 3)
+        assert str(ei.value) == "monochromatic edge (0, 3)"
 
 
 def test_from_coloring_large_k_uses_lattice():
