@@ -41,7 +41,16 @@ def lp_lengths(diff, p):
         return d.max(axis=-1)
     if p == 1.0:
         return d.sum(axis=-1)
-    return np.power((d ** p).sum(axis=-1), 1.0 / p)
+    s = (d ** p).sum(axis=-1)
+    lengths = np.power(s, 1.0 / p)
+    low = s < np.finfo(float).tiny
+    if np.any(low):
+        # the sum underflowed (3e-6 ** 64 is 0): scale those rows by their max
+        m = d.max(axis=-1, keepdims=True)
+        scaled = m[..., 0] * np.power(
+            ((d / np.where(m > 0.0, m, 1.0)) ** p).sum(axis=-1), 1.0 / p)
+        lengths = np.where(low, scaled, lengths)
+    return lengths
 
 
 def _as_points(pts):

@@ -25,6 +25,8 @@ _STAGES = 8             # annealing stages, geometric in sharpness and penalty
 _BETAS = np.geomspace(10.0, 1000.0, _STAGES)
 _MUS = np.geomspace(1.0, 1e6, _STAGES)
 _TOL = 1e-10            # a stage stops once a step gains less than this
+_HALVINGS = 30          # a step halved this often without a decrease stops
+_LADDER = 3             # halvings tried per objective call; divides _HALVINGS
 
 
 @dataclass(frozen=True)
@@ -37,6 +39,9 @@ class OptimizeConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ParameterError("restarts must be >= 1")
+        if self.max_iters < _STAGES:
+            raise ParameterError("max_iters must be >= %d, one per annealing "
+                                 "stage" % _STAGES)
 
 
 @dataclass(frozen=True)
@@ -106,39 +111,45 @@ def _descend(x, edge_index, pairs, beta, mu, p, iters):
     """Backtracking gradient descent on an (R, n, dim) batch of restarts.
 
     Each restart keeps its own step and Armijo test and stops on its own:
-    squared gradient norm below 1e-24, 30 halvings without a decrease, or
-    a step that gains less than ``_TOL``.  Returns (x, iterations used per
-    restart).
+    squared gradient norm below 1e-24, ``_HALVINGS`` halvings without a
+    decrease, or a step that gains less than ``_TOL``.  One objective call
+    tries the next ``_LADDER`` halvings t, t/2, t/4 of every pending restart
+    at once, and each takes the first that passes: the step one halving per
+    call would take, since t * 2**-j is exact and the rows of a batch are
+    independent.  Returns (x, iterations used per restart).
     """
     x = x.copy()
     f, g = objective_and_grad(x, edge_index, beta, mu, p, pairs)
+    gn2 = (g.reshape(len(x), -1) ** 2).sum(axis=1)
     step = np.full(len(x), 0.1)
     used = np.zeros(len(x), dtype=int)
     live = np.arange(len(x))
+    rungs = 0.5 ** np.arange(_LADDER)
     for _ in range(iters):
         if not len(live):
             break
         used[live] += 1
-        gn2 = (g[live].reshape(len(live), -1) ** 2).sum(axis=1)
-        moving = gn2 >= 1e-24
-        live, gn2 = live[moving], gn2[moving]
-        t = step[live]
-        gain = np.full(len(live), -np.inf)     # -inf: no step accepted
-        pending = np.arange(len(live))
-        for _ in range(30):
-            rows = live[pending]
-            xn = x[rows] - t[pending, None, None] * g[rows]
-            fn, gn = objective_and_grad(xn, edge_index, beta, mu, p, pairs)
-            ok = fn <= f[rows] - 1e-4 * t[pending] * gn2[pending]
-            done, rows = pending[ok], rows[ok]
-            gain[done] = f[rows] - fn[ok]
-            x[rows], f[rows], g[rows] = xn[ok], fn[ok], gn[ok]
-            step[rows] = np.minimum(t[done] * 2.0, 10.0)
-            pending = pending[~ok]
-            if not len(pending):
+        live = live[gn2[live] >= 1e-24]
+        gain = np.full(len(x), -np.inf)        # -inf: no step accepted
+        rows, t = live, step[live]             # restarts still backtracking
+        for _ in range(_HALVINGS // _LADDER):
+            if not len(rows):
                 break
-            t[pending] *= 0.5
-        live = live[gain >= _TOL]
+            tr = t[:, None] * rungs                         # (k, _LADDER)
+            xn = (x[rows][:, None] - tr[..., None, None] * g[rows][:, None]
+                  ).reshape(-1, *x.shape[1:])
+            fn, gn = objective_and_grad(xn, edge_index, beta, mu, p, pairs)
+            ok = fn.reshape(tr.shape) <= (f[rows][:, None]
+                                          - 1e-4 * tr * gn2[rows][:, None])
+            passed = ok.any(axis=1)
+            pick = passed.nonzero()[0] * _LADDER + ok.argmax(axis=1)[passed]
+            done = rows[passed]
+            gain[done] = f[done] - fn[pick]
+            x[done], f[done], g[done] = xn[pick], fn[pick], gn[pick]
+            gn2[done] = (gn.reshape(len(gn), -1) ** 2).sum(axis=1)[pick]
+            step[done] = np.minimum(tr.ravel()[pick] * 2.0, 10.0)
+            rows, t = rows[~passed], t[~passed] * 0.5 ** _LADDER
+        live = live[gain[live] >= _TOL]
     return x, used
 
 
@@ -161,7 +172,7 @@ def optimize(g, cfg=None):
     p = _descent_p(cfg.norm)
     chi_greedy = greedy_dsatur(g).k
     box = 1.0 + math.sqrt(chi_greedy)
-    per_stage = max(cfg.max_iters // _STAGES, 1)
+    per_stage = cfg.max_iters // _STAGES
 
     x = np.stack([np.random.default_rng(cfg.seed + restart).uniform(
         0.0, box, size=(g.n, cfg.norm.dim)) for restart in range(cfg.restarts)])

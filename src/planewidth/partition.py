@@ -88,6 +88,9 @@ def _square_quadrants(pts):
     local = np.where(corners[np.argmin(taken)] == 1.0, 1.0 - local, local)
 
     h = 0.5
+    # within eps of a centre line is on it, as in the removed-point test:
+    # (0, 0.5 + ulp) leaves NW by that test, so SW's y <= h must take it
+    local = np.where(np.abs(local - h) <= eps, h, local)
     x, y = local[:, 0], local[:, 1]
     inside = np.stack([(x <= h) & (y >= h), (x >= h) & (y >= h),    # NW, NE
                        (x <= h) & (y <= h), (x >= h) & (y <= h)],   # SW, SE

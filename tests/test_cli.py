@@ -4,10 +4,13 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from planewidth.cli import main
-from planewidth.realization import read_realization
+from planewidth.cli import load_graph, main
+from planewidth.coloring import check_proper, read_coloring
+from planewidth.realization import Realization, read_realization, \
+    write_realization
 
 
 def run(capsys, *argv):
@@ -104,6 +107,23 @@ def test_color_over_threshold_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "color", g, "--from", rpath,
                        "--scheme", "3", "-o", str(tmp_path / "x"))
     assert code == 2
+
+
+def test_color_scheme_4_diamond(capsys, tmp_path):
+    g = str(tmp_path / "g.txt")
+    with open(g, "w") as fh:
+        fh.write("n 4\n0 2\n1 3\n")
+    a = np.arange(4) * math.pi / 2
+    rpath = str(tmp_path / "diamond.json")
+    write_realization(Realization(0.7 * np.stack([np.cos(a), np.sin(a)], 1)),
+                      rpath)
+    cpath = str(tmp_path / "diamond.colors")
+    code, out, _ = run(capsys, "color", g, "--from", rpath,
+                       "--scheme", "4", "-o", cpath)
+    assert code == 0
+    c = read_coloring(cpath)
+    assert check_proper(load_graph(g), c) is None
+    assert "colors %d" % c.k in out and c.k <= 4
 
 
 def test_color_tiling(capsys, tmp_path):

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from planewidth.geometry import LINF
+from planewidth import optimizer
+from planewidth.geometry import LINF, lp_lengths
 from planewidth.graphs import (
     ParameterError, complete, cycle, graph_from_edges, odd_wheel,
 )
@@ -24,6 +25,10 @@ def small_cfg(restarts=6, seed=0):
 def test_config_validation():
     with pytest.raises(ParameterError):
         OptimizeConfig(restarts=0)
+    for max_iters in (-1, 0, 7):        # fewer than one per annealing stage
+        with pytest.raises(ParameterError):
+            OptimizeConfig(max_iters=max_iters)
+    assert OptimizeConfig(max_iters=8).max_iters == 8
 
 
 def test_optimize_k2_exact():
@@ -115,6 +120,36 @@ def test_max_norm_objective_finite():
         for beta, mu in ((10.0, 1.0), (1000.0, 1e6)):
             f, grad = objective_and_grad(x, edge_index, beta, mu, 64.0)
             assert np.isfinite(f) and np.all(np.isfinite(grad))
+
+
+def test_max_norm_underflow_stays_finite():
+    """Under p = 64, 3e-6 ** 64 underflows to 0; the length must still be
+    3e-6, not the 1e-12 floor, or (|diff| / d) ** 63 overflows."""
+    x = np.array([[0.0, 0.0], [3e-6, 0.0]])
+    f, grad = objective_and_grad(x, complete(2).edge_array, 10.0, 1.0, 64.0)
+    assert f == pytest.approx(3e-6 + (1.0 - 3e-6) ** 2, rel=1e-12)
+    w = 1.0 - 2.0 * (1.0 - 3e-6)        # softmax weight minus the hinge
+    assert np.allclose(grad, [[-w, 0.0], [w, 0.0]], rtol=1e-12, atol=0.0)
+    assert lp_lengths(np.array([3e-6, -1e-6]), 64.0) == pytest.approx(
+        3e-6, rel=1e-15)
+    assert lp_lengths(np.zeros((3, 2)), 64.0).tolist() == [0.0] * 3
+    # rows whose sum does not underflow keep the plain formula's bits
+    d = np.array([[3e-6, 0.0], [0.3, 0.2], [1e-4, 2e-4]])
+    plain = np.power((d ** 64.0).sum(axis=1), 1.0 / 64.0)
+    got = lp_lengths(d, 64.0)
+    assert got[1:].tobytes() == plain[1:].tobytes() and plain[0] == 0.0
+
+
+def test_optimize_max_norm_collapsed_pair():
+    """W_5 in the max norm: restart 5 brings two vertices within 2e-5 of
+    each other, where sum |diff| ** 64 underflows; that overflowed the
+    gradient (a RuntimeWarning, an error in this suite) and froze the
+    restart on NaN at 2.000256."""
+    res = optimize(odd_wheel(5), OptimizeConfig(norm=LINF, restarts=10))
+    assert 1.0 <= res.width < 1.005
+    alone = optimize(odd_wheel(5), OptimizeConfig(norm=LINF, restarts=1,
+                                                  seed=5))
+    assert alone.width < 2.0 + 1e-8
 
 
 def test_batch_matches_single_calls():
@@ -233,3 +268,111 @@ def test_oracle_matches_enumeration(g, resolution):
     w, r = brute_force(g, resolution, d_max=d_max)
     assert w == _grid_minimum(g, resolution, d_max)
     assert evaluate(g, r, tol=1e-12).width == w
+
+
+# ---------------------------------------------------------------------------
+# The batched backtracking ladder
+
+
+def reference_descend(x, edge_index, pairs, beta, mu, p, iters):
+    """``_descend`` trying one halving per objective call, as it was before
+    the ladder: the steps, stops and iteration counts it must reproduce."""
+    x = x.copy()
+    f, g = objective_and_grad(x, edge_index, beta, mu, p, pairs)
+    step = np.full(len(x), 0.1)
+    used = np.zeros(len(x), dtype=int)
+    live = np.arange(len(x))
+    for _ in range(iters):
+        if not len(live):
+            break
+        used[live] += 1
+        gn2 = (g[live].reshape(len(live), -1) ** 2).sum(axis=1)
+        moving = gn2 >= 1e-24
+        live, gn2 = live[moving], gn2[moving]
+        t = step[live]
+        gain = np.full(len(live), -np.inf)
+        pending = np.arange(len(live))
+        for _ in range(30):
+            rows = live[pending]
+            xn = x[rows] - t[pending, None, None] * g[rows]
+            fn, gn = objective_and_grad(xn, edge_index, beta, mu, p, pairs)
+            ok = fn <= f[rows] - 1e-4 * t[pending] * gn2[pending]
+            done, rows = pending[ok], rows[ok]
+            gain[done] = f[rows] - fn[ok]
+            x[rows], f[rows], g[rows] = xn[ok], fn[ok], gn[ok]
+            step[rows] = np.minimum(t[done] * 2.0, 10.0)
+            pending = pending[~ok]
+            if not len(pending):
+                break
+            t[pending] *= 0.5
+        live = live[gain >= optimizer._TOL]
+    return x, used
+
+
+@pytest.mark.parametrize("p", [2.0, 64.0], ids=["L2", "p64"])
+def test_ladder_matches_one_halving_per_call(p):
+    """Every annealing stage gives the same bits and iteration counts as
+    the one-halving-per-call descent, on random graphs and restarts."""
+    rng = np.random.default_rng(808)
+    for _ in range(3):
+        n = int(rng.integers(4, 8))
+        g = random_graph(rng, n, 0.5)
+        if g.m == 0:
+            continue
+        pairs = optimizer._pair_index(n, g.edge_array)
+        x = rng.uniform(0.0, 3.0, size=(5, n, 2))
+        for beta, mu in zip(optimizer._BETAS, optimizer._MUS):
+            want = reference_descend(x, g.edge_array, pairs, beta, mu, p, 60)
+            got = optimizer._descend(x, g.edge_array, pairs, beta, mu, p, 60)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert np.array_equal(got[1], want[1])
+            x = got[0]
+
+
+def test_ladder_halvings_in_order(monkeypatch):
+    """A restart that never gains tries t, t/2, ..., t/2**29, three per
+    call, then stops; one that first gains at t/16 takes t/16, and stops
+    in its next iteration, where no step gains."""
+    tried = []
+
+    def stub(x, edge_index, beta, mu, p, pairs):
+        v = x[:, 0, 0]
+        tried.append(v.copy())
+        gains = (v > 5.0) & (10.0 - v <= 1.5 * 0.1 / 16)
+        f = np.zeros(len(x)) if len(tried) == 1 else np.where(gains, -1.0, 1.0)
+        return f, np.ones_like(x)
+
+    monkeypatch.setattr(optimizer, "objective_and_grad", stub)
+    x0 = np.array([0.0, 10.0]).reshape(2, 1, 1)
+    x, used = optimizer._descend(x0, None, None, 10.0, 1.0, 2.0, 5)
+    calls = tried[1:]
+    assert [len(v) for v in calls] == [6, 6] + [3] * 8 + [3] * 10
+    steps = -np.concatenate([v[v < 5.0] for v in calls])
+    assert steps.tolist() == (0.1 * 0.5 ** np.arange(30)).tolist()
+    assert x[0, 0, 0] == 0.0 and x[1, 0, 0] == 10.0 - 0.1 / 16
+    assert used.tolist() == [1, 2]
+
+
+#: search's optimize operations: (width hex, restart index, iterations),
+#: as the one-halving-per-call descent gave them.
+SEARCH_PINNED = [
+    ("K_3", complete(3), None, ("0x1.0000000000000p+0", 1, 202)),
+    ("K_4", complete(4), None, ("0x1.6a09e667f3bcfp+0", 1, 132)),
+    ("K_5", complete(5), None, ("0x1.9e3779cd590f2p+0", 9, 139)),
+    ("K_6", complete(6), None, ("0x1.e6f0e7cf57907p+0", 6, 137)),
+    ("K_7", complete(7), None, ("0x1.0000000d6b556p+1", 9, 118)),
+    ("W_5", odd_wheel(5), None, ("0x1.6a0a01fb3079bp+0", 8, 555)),
+    ("W_7", odd_wheel(7), None, ("0x1.6a0a036c74c05p+0", 4, 689)),
+    ("K_4 max", complete(4), LINF, ("0x1.0000000000142p+0", 3, 138)),
+    ("K_5 max", complete(5), LINF, ("0x1.0000000bd0b88p+1", 4, 465)),
+    ("K_9 max", complete(9), LINF, ("0x1.0000ae2ff690fp+1", 6, 489)),
+]
+
+
+def test_search_results_pinned():
+    for name, g, norm, want in SEARCH_PINNED:
+        cfg = (OptimizeConfig(restarts=10) if norm is None
+               else OptimizeConfig(restarts=8, norm=norm))
+        res = optimize(g, cfg)
+        assert (res.width.hex(), res.restart_index, res.iterations) == want, \
+            name

@@ -82,6 +82,14 @@ def test_partition_boundary_points():
         check_partition(sq, scheme)
 
 
+@pytest.mark.parametrize("k", [4, 8, 12])
+def test_scheme4_regular_polygons(k):
+    """Radius-1/2 polygons put a vertex an ulp past the centre line after
+    the shift; it must still land in exactly one quadrant."""
+    a = np.arange(k) * 2 * math.pi / k
+    check_partition(0.5 * np.stack([np.cos(a), np.sin(a)], axis=1), 4)
+
+
 def hexagon_frames(count, seed=77):
     """Seeded enclosing hexagons (width 1 or below, any orientation) with
     their center c, side midpoints m_i and core vertices q_i."""
@@ -287,6 +295,8 @@ def reference_quadrants(pts):
                ((0.0, 0.0), (h, 0.0)), ((h, h), (1.0, h))]
     labels = []
     for x, y in local:
+        x = h if abs(x - h) <= eps else x
+        y = h if abs(y - h) <= eps else y
         inside = [x <= h and y >= h, x >= h and y >= h,
                   x <= h and y <= h, x >= h and y <= h]
         regs = [k for k in range(4) if inside[k] and not any(
