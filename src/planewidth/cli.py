@@ -20,12 +20,10 @@ from .coloring import chromatic_number, write_coloring
 from .geometry import INF, NormSpec
 from .graphs import CertificateError, ParameterError
 from .optimizer import OptimizeConfig, optimize
-from .partition import PartitionPreconditionError, extract_coloring, \
-    tiling_coloring
-from .realization import InfeasibleError, Realization, \
-    _fmt, evaluate, from_circular, from_coloring, known_complete_arrangement, \
-    lattice_complete_arrangement, low_dim_realization, read_realization, \
-    write_realization
+from .partition import extract_coloring, tiling_coloring
+from .realization import Realization, _fmt, evaluate, from_circular, \
+    from_coloring, known_complete_arrangement, lattice_complete_arrangement, \
+    low_dim_realization, read_realization, write_realization
 
 
 def load_graph(path):
@@ -322,8 +320,7 @@ def main(argv=None):
         return args.func(args)
     except (OSError, ValueError) as exc:        # ParameterError included
         print("error: %s" % exc, file=sys.stderr)
-        return 2 if isinstance(exc, (PartitionPreconditionError,
-                                     CertificateError, InfeasibleError)) else 1
+        return 2 if isinstance(exc, CertificateError) else 1
     except bounds_mod.InternalConsistencyError as exc:
         print("internal consistency error: %s" % exc, file=sys.stderr)
         return 3

@@ -276,6 +276,9 @@ def chromatic_number(g, budget=10.0):
     pair plus a witness coloring for the upper bound; ``exact`` says whether
     the two were proven equal.
     """
+    if not budget >= 0:
+        raise ParameterError("budget must be a nonnegative number of seconds, "
+                             "got %r" % (budget,))
     return _chromatic(g, time.monotonic() + budget)
 
 

@@ -63,12 +63,6 @@ def distance(a, b, norm=L2):
     return float(lp_lengths(np.atleast_1d(diff), norm.p))
 
 
-def pairwise_distances(pts, norm=L2):
-    """Full (n, n) distance matrix."""
-    pts = _as_points(pts)
-    return lp_lengths(pts[:, None, :] - pts[None, :, :], norm.p)
-
-
 def edge_lengths(pts, edges, norm=L2):
     """Lengths of the index pairs in the (m, 2) array ``edges``.
 
@@ -140,7 +134,7 @@ def diameter(pts, norm=L2):
         return 0.0, (0, 0)
     if norm.p == 2.0 and pts.shape[1] == 2 and n > 64:
         return _diameter_calipers(pts)
-    dm = pairwise_distances(pts, norm)
+    dm = lp_lengths(pts[:, None, :] - pts[None, :, :], norm.p)
     flat = int(np.argmax(dm))
     i, j = divmod(flat, n)
     return float(dm[i, j]), (min(i, j), max(i, j))
@@ -171,9 +165,6 @@ class Hexagon:
         rel = pts - np.asarray(self.center)
         proj = rel @ self.normals().T
         return float(np.max(np.abs(proj)) - self.width / 2.0)
-
-    def contains(self, pts, tol=1e-9):
-        return self.containment_defect(pts) <= tol
 
     def corners(self):
         """The six vertices, ccw, starting between normals 0 and 1."""

@@ -86,9 +86,6 @@ class Graph:
     def sorted_edges(self):
         return list(zip(*self.edge_array.T.tolist()))
 
-    def has_edge(self, u, v):
-        return (min(u, v), max(u, v)) in self.edges
-
     def adjacency(self):
         """Adjacency sets, one per vertex."""
         adj = [set() for _ in range(self.n)]
@@ -167,8 +164,8 @@ def circulant(p, q):
 def circle_star_points(n, eps):
     """The 6n+1 equidistant points on a circle of diameter 2+eps (no center)."""
     n = _count(n, "circle-star n")
-    if n < 2 or eps <= 0:
-        raise ParameterError("circle-star requires n >= 2 and eps > 0")
+    if n < 2 or not 0 < eps < math.inf:
+        raise ParameterError("circle-star requires n >= 2 and finite eps > 0")
     p = 6 * n + 1
     r = (2.0 + eps) / 2.0
     return [(r * math.cos(2 * math.pi * i / p), r * math.sin(2 * math.pi * i / p))
@@ -182,24 +179,19 @@ def circle_star(n, eps):
     are joined iff their Euclidean chord length is at least 1.  The center
     (last vertex) is adjacent to every rim vertex.
     """
-    pts = circle_star_points(n, eps)
-    p = 6 * n + 1
-    pairs = []
-    for i in range(p):
-        for j in range(i + 1, p):
-            dx = pts[i][0] - pts[j][0]
-            dy = pts[i][1] - pts[j][1]
-            if math.hypot(dx, dy) >= 1.0:
-                pairs.append((i, j))
-    center = p
-    pairs += [(i, center) for i in range(p)]
-    return graph_from_edges(p + 1, pairs)
+    pts = np.array(circle_star_points(n, eps))
+    rim = complete(len(pts)).edge_array
+    dx, dy = (pts[rim[:, 0]] - pts[rim[:, 1]]).T
+    # math.hypot, not np.hypot or edge_lengths: they round differently, which
+    # moves chords of length 1 in or out at the boundary eps
+    chords = rim[np.vectorize(math.hypot)(dx, dy) >= 1.0]
+    return join(Graph(len(pts), chords), complete(1))
 
 
 def circle_star_min_n(eps):
     """Smallest n >= 2 with (2+eps) sin(n*pi/(6n+1)) >= 1."""
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ParameterError("eps must be positive and finite")
     n = 2
     while (2.0 + eps) * math.sin(n * math.pi / (6 * n + 1)) < 1.0:
         n += 1
@@ -325,11 +317,6 @@ def verify_homomorphism(phi):
     lo, hi = img.min(axis=1), img.max(axis=1)      # a loop lo == hi never hits
     u, v = phi.target.edge_array.T
     return bool(np.isin(lo * phi.target.n + hi, u * phi.target.n + v).all())
-
-
-def coloring_homomorphism(g, colors, k):
-    """View a proper k-coloring as a map into the complete graph K_k."""
-    return Homomorphism(g, complete(k), tuple(colors))
 
 
 # ---------------------------------------------------------------------------

@@ -52,12 +52,6 @@ class OptimizeResult:
     iterations: int
 
 
-def _descent_p(norm):
-    if norm.p == INF:
-        return 64.0     # smooth stand-in; the final evaluate is exact
-    return norm.p
-
-
 def _pair_index(n, edge_index):
     """Pairs i < j in ``triu_indices`` order, each edge's position among
     them, and the (n, P) incidence matrix (+1 at i, -1 at j) that scatters
@@ -169,7 +163,8 @@ def optimize(g, cfg=None):
         raise ParameterError("optimization needs at least one edge")
     edge_index = g.edge_array
     pairs = _pair_index(g.n, edge_index)
-    p = _descent_p(cfg.norm)
+    # p = 64 is a smooth stand-in for the max norm; the final evaluate is exact
+    p = 64.0 if cfg.norm.p == INF else cfg.norm.p
     chi_greedy = greedy_dsatur(g).k
     box = 1.0 + math.sqrt(chi_greedy)
     per_stage = cfg.max_iters // _STAGES

@@ -14,7 +14,7 @@ import numpy as np
 
 from .coloring import coloring_from_list
 from .geometry import L2, SQRT3, _hex_directions, diameter, pal_hexagon
-from .graphs import ParameterError
+from .graphs import CertificateError, ParameterError
 from .realization import evaluate
 
 #: intra-piece diameter guarantee per scheme, at unit input diameter
@@ -24,7 +24,7 @@ SCHEME_DELTA = {3: SQRT3 / 2.0, 4: math.sqrt(2.0) / 2.0, 7: 0.5}
 SCHEME_THRESHOLD = {3: 2.0 / SQRT3, 4: math.sqrt(2.0), 7: 2.0}
 
 
-class PartitionPreconditionError(ValueError):
+class PartitionPreconditionError(CertificateError):
     def __init__(self, message, threshold=None):
         self.threshold = threshold
         super().__init__(message)

@@ -33,7 +33,7 @@ COMPLETE_WIDTH = {
 }
 
 
-class InfeasibleError(ValueError):
+class InfeasibleError(CertificateError):
     pass
 
 
@@ -79,11 +79,6 @@ class Realization:
         return self.coords
 
 
-def realization_from_array(arr, norm=L2):
-    arr = np.asarray(arr, dtype=float)
-    return Realization(arr[:, None] if arr.ndim == 1 else arr, norm)
-
-
 @dataclass(frozen=True)
 class Evaluation:
     width: float
@@ -93,7 +88,12 @@ class Evaluation:
 
 
 def evaluate(g, r, tol=1e-9):
-    """Width, minimum edge distance, and a validity verdict."""
+    """Width, minimum edge distance, and a validity verdict.
+
+    An edge is valid when its length is at least 1 - tol; tol must be below 1.
+    """
+    if not tol < 1.0:
+        raise ParameterError("tol must be a number below 1, got %r" % tol)
     if r.n != g.n:
         raise ParameterError("realization has %d points for %d vertices"
                              % (r.n, g.n))
@@ -170,10 +170,10 @@ def lattice_complete_arrangement(n):
     """n unit-spacing triangular-lattice points packed around a cell center.
 
     The points are the n lattice points nearest to the center of a Voronoi
-    cell (a lattice point), ties broken by angle then index, so the
-    arrangement fills a disc and its width approaches sqrt(2*sqrt(3)/pi * n)
-    for large n.  With c = sqrt(2*sqrt(3)/pi), the width always lies in the
-    proven bracket [c*sqrt(n) - 1, c*sqrt(n) + 2/sqrt(3)]: the lower edge is
+    cell (a lattice point), ties broken by angle, so the arrangement fills a
+    disc and its width approaches sqrt(2*sqrt(3)/pi * n) for large n.  With
+    c = sqrt(2*sqrt(3)/pi), the width always lies in the proven bracket
+    [c*sqrt(n) - 1, c*sqrt(n) + 2/sqrt(3)]: the lower edge is
     the packing bound for any n unit-spaced points, the upper edge follows
     from the hexagonal Voronoi cells covering a disc.  At the measured
     n = 100, 1000, 10**4, width/sqrt(n) is 1.04403, 1.04499, 1.04919, so it
@@ -182,25 +182,19 @@ def lattice_complete_arrangement(n):
     """
     if n < 2:
         raise ParameterError("need n >= 2")
-    cx, cy = 0.0, 0.0
     radius = math.sqrt(n * SQRT3 / (2.0 * math.pi)) + 2.0
-    jspan = int(math.ceil(radius / (SQRT3 / 2.0))) + 2
-    cand = []
-    idx = 0
-    for j in range(-jspan, jspan + 1):
-        y = (SQRT3 / 2.0) * j
-        ilo = int(math.floor(-radius - 0.5 * j)) - 1
-        ihi = int(math.ceil(radius - 0.5 * j)) + 2
-        for i in range(ilo, ihi):
-            x = i + 0.5 * j
-            d = math.hypot(x - cx, y - cy)
-            if d <= radius:
-                cand.append((d, math.atan2(y - cy, x - cx), idx, x, y))
-                idx += 1
-    cand.sort()
-    if len(cand) < n:
+    span = int(math.ceil(radius / (SQRT3 / 2.0))) + 2
+    # row j, column i of a box holding the disc: the point i + j/2, j*sqrt(3)/2
+    j, i = np.mgrid[-span:span + 1, -2 * span:2 * span + 1].reshape(2, -1)
+    x, y = i + 0.5 * j, (SQRT3 / 2.0) * j
+    # math.hypot and math.atan2, not np.hypot or sqrt(x*x + y*y): they round
+    # differently, which reorders points at equal distance
+    d = np.vectorize(math.hypot)(x, y)
+    order = np.lexsort((np.vectorize(math.atan2)(y, x), d))
+    order = order[d[order] <= radius]
+    if len(order) < n:
         raise AssertionError("lattice candidate pool too small")
-    return Realization([(x, y) for _, _, _, x, y in cand[:n]], L2)
+    return Realization(np.stack([x, y], axis=1)[order[:n]], L2)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,7 @@ from planewidth.bounds import pw_interval
 from planewidth.realization import (
     Realization, evaluate, from_circular, from_coloring, join_realization,
     known_complete_arrangement, lattice_complete_arrangement,
-    low_dim_realization, product_realization, realization_from_array,
-    union_realization,
+    low_dim_realization, product_realization, union_realization,
 )
 from planewidth.graphs import cartesian, disjoint_union, join
 
@@ -184,7 +183,7 @@ def test_criterion_06_partition_properties():
     while checked < 200:
         n = int(rng.integers(3, 10))
         g = random_graph(rng, n, 0.3)
-        r = realization_from_array(rng.uniform(0, 1.8, size=(n, 2)))
+        r = Realization(rng.uniform(0, 1.8, size=(n, 2)))
         ev = evaluate(g, r)
         if not ev.valid or ev.width > 2.0:
             continue

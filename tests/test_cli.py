@@ -336,3 +336,30 @@ def test_realize_circular_without_angles_or_chi_c(capsys, tmp_path, extra):
     assert_input_error(run(capsys, *argv),
                        "circular method needs --angles and --chi-c")
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "1"])
+def test_verify_rejects_tol_not_below_1(capsys, tmp_path, tol):
+    g = write_text(tmp_path, "k3.txt", "n 3\n0 1\n1 2\n0 2\n")
+    rpath = str(tmp_path / "small.json")
+    write_realization(Realization([[0, 0], [0.1, 0], [0, 0.1]]), rpath)
+    assert_input_error(run(capsys, "verify", g, rpath, "--tol", tol),
+                       "tol must be a number below 1")
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_gen_circle_star_rejects_non_finite_eps(capsys, tmp_path, eps):
+    out = str(tmp_path / "x.txt")
+    assert_input_error(run(capsys, "gen", "--family", "circle-star",
+                           "--params", "2", eps, "-o", out),
+                       "finite eps > 0")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("verb", ["bounds", "realize"])
+def test_chi_budget_nan_rejected(capsys, tmp_path, verb):
+    g = write_text(tmp_path, "k3.txt", "n 3\n0 1\n1 2\n0 2\n")
+    argv = [verb, g, "--chi-budget", "nan"]
+    if verb == "realize":
+        argv += ["--method", "coloring", "-o", str(tmp_path / "r.json")]
+    assert_input_error(run(capsys, *argv), "budget must be a nonnegative")

@@ -17,8 +17,8 @@ from planewidth.coloring import (
     read_coloring, require_proper, write_coloring,
 )
 from planewidth.graphs import (
-    Graph, circulant, circle_star, complement, complete, cycle, generate,
-    graph_from_edges, groetzsch, join, odd_wheel, petersen,
+    Graph, ParameterError, circulant, circle_star, complement, complete, cycle,
+    generate, graph_from_edges, groetzsch, join, odd_wheel, petersen,
 )
 
 from conftest import random_graph
@@ -64,7 +64,7 @@ def test_max_clique_is_a_clique():
         g = random_graph(rng, 14, 0.6)
         q = max_clique(g)
         for u, v in itertools.combinations(sorted(q), 2):
-            assert g.has_edge(u, v)
+            assert (u, v) in g.edges
 
 
 def test_max_clique_circulant_25_4():
@@ -74,7 +74,7 @@ def test_max_clique_circulant_25_4():
     # independent confirmation: 0,4,8,12,16,20 is a clique and no 7-clique
     witness = [0, 4, 8, 12, 16, 20]
     for u, v in itertools.combinations(witness, 2):
-        assert g.has_edge(u, v)
+        assert (u, v) in g.edges
     # each vertex has 18 neighbours; a 7-clique needs 7 vertices pairwise at
     # circular distance in [4, 21], impossible since 7*4 > 25
     gaps_needed = 7 * 4
@@ -145,6 +145,16 @@ def test_chromatic_zero_budget_degrades_gracefully():
     full = chromatic_number(g, budget=30.0)
     assert full.exact
     assert res.lower <= full.chi <= res.upper
+
+
+@pytest.mark.parametrize("budget", [math.nan, -1.0, -math.inf])
+def test_chromatic_budget_must_be_nonnegative(budget):
+    # a NaN deadline is never passed, so no search would ever be cut
+    g = cycle(5)
+    with pytest.raises(ParameterError):
+        chromatic_number(g, budget=budget)
+    with pytest.raises(ParameterError):
+        pw_interval(g, chi_budget=budget)
 
 
 def test_complement_chromatic_sanity():
@@ -227,7 +237,7 @@ def test_max_clique_deadline(mycielski_95):
     assert time.monotonic() - t0 < 1.0
     assert len(q) >= 2 and q == sorted(q)
     for u, v in itertools.combinations(q, 2):
-        assert co.has_edge(u, v)
+        assert (u, v) in co.edges
     # a generous deadline changes nothing; no deadline means maximum size
     rng = np.random.default_rng(31)
     for _ in range(20):
@@ -236,7 +246,7 @@ def test_max_clique_deadline(mycielski_95):
         assert max_clique(g, deadline=time.monotonic() + 60.0) == q
         largest = max(k for k in range(g.n + 1)
                       for s in itertools.combinations(range(g.n), k)
-                      if all(g.has_edge(u, v)
+                      if all((u, v) in g.edges
                              for u, v in itertools.combinations(s, 2)))
         assert len(q) == largest
 
@@ -360,10 +370,10 @@ def test_greedy_independent_set_is_not_a_chi_bound():
     g = _trap_graph()
     greedy_set = _greedy_independent_set(g.adjacency())
     assert greedy_set == [0, 1]
-    assert not any(g.has_edge(u, v) for u, v in [(1, 3), (1, 4), (3, 4)])
+    assert not any((u, v) in g.edges for u, v in [(1, 3), (1, 4), (3, 4)])
     # ceil(n / |I|) = 4 exceeds chi = 3: the triangle and a 3-coloring
     assert math.ceil(g.n / len(greedy_set)) == 4
-    assert g.has_edge(1, 2) and g.has_edge(1, 5) and g.has_edge(2, 5)
+    assert (1, 2) in g.edges and (1, 5) in g.edges and (2, 5) in g.edges
     assert check_proper(g, coloring_from_list([1, 2, 0, 2, 2, 1, 0])) is None
     # DSATUR needs 4 colors, so a solver that took ceil(n / |I|) as a lower
     # bound would stop at the heuristic and report chi = 4

@@ -1,5 +1,6 @@
 """Graph construction, composition, reductions and file formats."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,11 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from planewidth.graphs import (
     Graph, Homomorphism, ParameterError, cartesian, circulant, circle_star,
-    circle_star_min_n, circle_star_points, coloring_homomorphism, complement,
-    complete, compose, cycle, disjoint_union, double_subdivide, generate,
-    graph_from_edges, join, odd_wheel, petersen, read_dimacs, read_edge_list,
-    reduce_four_cycle_pairs, verify_homomorphism, write_dimacs,
-    write_edge_list,
+    circle_star_min_n, circle_star_points, complement, complete, compose, cycle,
+    disjoint_union, double_subdivide, generate, graph_from_edges, join,
+    odd_wheel, petersen, read_dimacs, read_edge_list, reduce_four_cycle_pairs,
+    verify_homomorphism, write_dimacs, write_edge_list,
 )
 
 from conftest import random_graph
@@ -44,8 +44,8 @@ def test_cycle_and_wheel():
 
 def test_circulant_adjacency():
     g = circulant(25, 4)
-    assert g.has_edge(0, 4)
-    assert not g.has_edge(0, 3)
+    assert (0, 4) in g.edges
+    assert (0, 3) not in g.edges
     # vertex-transitive with degree p - 2q + 1
     degs = {g.degree(v) for v in range(25)}
     assert degs == {25 - 8 + 1}
@@ -67,9 +67,9 @@ def test_circle_star_rim_adjacency_matches_chords():
     radius = (2.0 + eps) / 2.0
     for k in range(1, 13):
         chord = 2.0 * radius * math.sin(k * math.pi / 25.0)
-        assert g.has_edge(0, k) == (chord >= 1.0)
+        assert ((0, k) in g.edges) == (chord >= 1.0)
     # concretely: chord at step 4 just clears 1, step 3 does not
-    assert g.has_edge(0, 4) and not g.has_edge(0, 3)
+    assert (0, 4) in g.edges and (0, 3) not in g.edges
     assert len(pts) == 25
 
 
@@ -82,6 +82,44 @@ def test_circle_star_min_n():
     if n > 1:
         smaller = circle_star_min_n(0.5)
         assert smaller <= n
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_circle_star_rejects_eps_not_positive_finite(eps):
+    with pytest.raises(ParameterError):
+        circle_star_points(2, eps)
+    with pytest.raises(ParameterError):
+        circle_star(2, eps)
+    with pytest.raises(ParameterError):
+        circle_star_min_n(eps)
+
+
+#: sha256 prefixes, per m, of circle_star(m, eps).edge_array as little-endian
+#: int64 followed by the byte circle_star_min_n(eps), for eps one ulp below
+#: and then one ulp above 1/sin(m pi/(6m+1)) - 2, the boundary where
+#: circle_star_min_n steps to m.  Recorded from the per-pair construction
+#: (math.hypot on each chord); np.hypot changes m = 6, 13 and 25,
+#: sqrt(dx*dx + dy*dy) or edge_lengths 17 of the 24.
+CIRCLE_STAR_DIGESTS = {
+    2: "c3501edb42dbbaf4", 3: "07f05e53988075a7", 4: "4074d6456ed2a4c8",
+    5: "6a5d959c2b71c7a6", 6: "88c069393d2c3cd1", 7: "76173a508a488986",
+    8: "ff3f8e3bfc2f2bb1", 9: "c3bf71f3a6b2bf80", 10: "ba8f9ab6d45ce6f5",
+    11: "0e360548d479dcfa", 12: "4102a140e1de5f21", 13: "85ab958b8053c6c6",
+    14: "a8ac4138ee52fe82", 15: "3b15fa52cf2364f2", 16: "46e7292ddb6afe04",
+    17: "ed0efd03664a6500", 18: "a1a5c1a31d49b67d", 19: "f871f98eefb7cf5a",
+    20: "8bef82f2296b625f", 21: "de21762e0a9acc20", 22: "6fd13546ddcfc012",
+    23: "906f24f96de96494", 24: "b4be39c067b685d4", 25: "b90d66048f127b80",
+}
+
+
+def test_circle_star_pinned_at_min_n_boundaries():
+    for m, digest in CIRCLE_STAR_DIGESTS.items():
+        b = 1.0 / math.sin(m * math.pi / (6 * m + 1)) - 2.0
+        h = hashlib.sha256()
+        for eps in (math.nextafter(b, 0.0), math.nextafter(b, math.inf)):
+            h.update(circle_star(m, eps).edge_array.astype("<i8").tobytes())
+            h.update(bytes([circle_star_min_n(eps)]))
+        assert h.hexdigest()[:16] == digest, m
 
 
 def test_compose_join_cartesian_complement():
@@ -100,8 +138,8 @@ def test_compose_join_cartesian_complement():
 def test_disjoint_union_offsets():
     u = disjoint_union(cycle(3), cycle(4))
     assert u.n == 7 and u.m == 7
-    assert u.has_edge(0, 1) and u.has_edge(3, 4)
-    assert not u.has_edge(2, 3)
+    assert (0, 1) in u.edges and (3, 4) in u.edges
+    assert (2, 3) not in u.edges
 
 
 def test_double_subdivide_triangle_gives_c5():
@@ -151,7 +189,7 @@ def test_homomorphism_basics():
 def test_coloring_as_homomorphism():
     g = cycle(5)
     colors = [0, 1, 0, 1, 2]
-    phi = coloring_homomorphism(g, colors, 3)
+    phi = Homomorphism(g, complete(3), colors)
     assert verify_homomorphism(phi)
     assert phi.target.n == 3
 

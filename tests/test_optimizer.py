@@ -248,7 +248,7 @@ def _grid_minimum(g, resolution, d_max):
                 d = np.broadcast_to(np.sqrt((diff * diff).sum(axis=-1)),
                                     width.shape)
                 width = np.maximum(width, d)
-                if g.has_edge(u, v):
+                if (u, v) in g.edges:
                     ok &= d >= 1.0 - 1e-12
         if ok.any():
             best = min(best, float(width[ok].min()))

@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from planewidth import partition
 from planewidth.coloring import check_proper
 from planewidth.geometry import Hexagon, diameter, pal_hexagon
-from planewidth.graphs import complete, cycle, graph_from_edges
+from planewidth.graphs import CertificateError, complete, cycle, \
+    graph_from_edges
 from planewidth.partition import (
     SCHEME_DELTA, SCHEME_THRESHOLD, PartitionPreconditionError,
     _nearest_hex_cells, extract_coloring, partition_unit, tiling_color_cap,
@@ -17,7 +18,7 @@ from planewidth.partition import (
 )
 from planewidth.realization import (
     Realization, evaluate, known_complete_arrangement,
-    lattice_complete_arrangement, realization_from_array,
+    lattice_complete_arrangement,
 )
 
 from conftest import random_graph, random_unit_diameter_points
@@ -106,7 +107,7 @@ def hexagon_frames(count, seed=77):
 
 def partition_in(monkeypatch, hexa, pts, scheme):
     # pin the enclosing hexagon the points were built from
-    assert hexa.contains(pts)
+    assert hexa.containment_defect(pts) <= 1e-9
     monkeypatch.setattr(partition, "pal_hexagon", lambda _: hexa)
     return check_partition(pts, scheme)
 
@@ -156,6 +157,7 @@ def test_extract_coloring_threshold_errors():
     with pytest.raises(PartitionPreconditionError) as ei:
         extract_coloring(k4, r4, 3)
     assert ei.value.threshold == pytest.approx(2 / math.sqrt(3))
+    assert isinstance(ei.value, CertificateError)     # the CLI's exit 2
     k8 = complete(8)
     with pytest.raises(PartitionPreconditionError):
         extract_coloring(k8, known_complete_arrangement(8), 7)
@@ -168,7 +170,7 @@ def test_extract_coloring_random_proper():
         n = int(rng.integers(4, 12))
         g = random_graph(rng, n, 0.3)
         pts = rng.uniform(0, 1.8, size=(n, 2))
-        r = realization_from_array(pts)
+        r = Realization(pts)
         ev = evaluate(g, r)
         if not ev.valid or ev.width > 2.0:
             continue
@@ -214,7 +216,7 @@ def test_tiling_coloring_random():
         g = random_graph(rng, n, 0.4)
         if g.m == 0:
             continue
-        r = realization_from_array(rng.uniform(0, 3, size=(n, 2)))
+        r = Realization(rng.uniform(0, 3, size=(n, 2)))
         ev = evaluate(g, r)
         if not ev.valid or ev.width == 0:
             continue
@@ -400,7 +402,7 @@ def test_tiling_matches_per_point_reference():
     while done < 100:
         n = int(rng.integers(2, 40))
         g = random_graph(rng, n, float(rng.uniform(0.05, 0.6)))
-        r = realization_from_array(rng.uniform(0, rng.uniform(0.5, 12), (n, 2)))
+        r = Realization(rng.uniform(0, rng.uniform(0.5, 12), (n, 2)))
         ev = evaluate(g, r)
         if not ev.valid or ev.width == 0.0:
             continue

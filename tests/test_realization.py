@@ -1,5 +1,6 @@
 """Realization verification and every explicit construction."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from planewidth.realization import (
     evaluate, feasibilize, from_circular, from_coloring, join_realization,
     known_complete_arrangement, lattice_complete_arrangement,
     low_dim_realization, product_realization, pullback, read_realization,
-    realization_from_array, union_realization, write_realization,
+    union_realization, write_realization,
 )
 
 from conftest import random_graph
@@ -54,6 +55,14 @@ def test_evaluate_k7_hexagon():
 def test_evaluate_size_mismatch():
     with pytest.raises(ParameterError):
         evaluate(complete(3), square_realization())
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 1.0])
+def test_evaluate_rejects_tol_not_below_1(tol):
+    # a K_3 with 0.1-long edges must never read as valid
+    r = Realization([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]])
+    with pytest.raises(ParameterError):
+        evaluate(complete(3), r, tol=tol)
 
 
 def test_evaluate_edgeless():
@@ -112,7 +121,7 @@ def test_evaluate_matches_per_edge_loop(norm, tol):
 def test_feasibilize_identity_and_scaling():
     r = square_realization()
     assert feasibilize(complete(4), r).points == r.points
-    small = realization_from_array(np.array(
+    small = Realization(np.array(
         [[0.0, 0.0], [0.5, 0.0], [0.25, 0.25 * math.sqrt(3)]]))
     fixed = feasibilize(complete(3), small)
     ev = evaluate(complete(3), fixed)
@@ -125,10 +134,10 @@ def test_feasibilize_perturbed_pentagon():
     base = known_complete_arrangement(5).array()
     bumped = base + rng.normal(scale=0.004, size=base.shape)
     fixed = feasibilize(complete(5), bumped if isinstance(bumped, Realization)
-                        else realization_from_array(bumped))
+                        else Realization(bumped))
     ev = evaluate(complete(5), fixed)
     assert ev.valid
-    ev0 = evaluate(complete(5), realization_from_array(bumped))
+    ev0 = evaluate(complete(5), Realization(bumped))
     if ev0.min_edge_distance < 1.0:
         expect = ev0.width / ev0.min_edge_distance
         assert ev.width == pytest.approx(expect, rel=1e-9)
@@ -140,7 +149,7 @@ def test_feasibilize_idempotent():
         g = random_graph(rng, 8, 0.5)
         if g.m == 0:
             continue
-        r = realization_from_array(rng.uniform(0, 2, size=(8, 2)))
+        r = Realization(rng.uniform(0, 2, size=(8, 2)))
         try:
             f1 = feasibilize(g, r)
         except InfeasibleError:
@@ -158,10 +167,10 @@ def test_feasibilize_rescales_to_unit_shortest_edge(start):
         g, pts = case
         assume(g.m > 0)
         arr = np.array(pts, dtype=float)
-        shortest = evaluate(g, realization_from_array(arr), tol=0.0)
+        shortest = evaluate(g, Realization(arr), tol=0.0)
         assume(shortest.min_edge_distance >= 1e-2)
         arr *= target / shortest.min_edge_distance
-        r = realization_from_array(arr)
+        r = Realization(arr)
         m0 = evaluate(g, r, tol=0.0).min_edge_distance
         f = feasibilize(g, r)
         assert abs(evaluate(g, f, tol=0.0).min_edge_distance - 1.0) <= 1e-12
@@ -173,8 +182,9 @@ def test_feasibilize_rescales_to_unit_shortest_edge(start):
 
 
 def test_feasibilize_coincident_adjacent_rejected():
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(InfeasibleError) as ei:
         feasibilize(complete(2), Realization(((1.0, 1.0), (1.0, 1.0))))
+    assert isinstance(ei.value, CertificateError)     # the CLI's exit 2
 
 
 def test_known_complete_arrangements():
@@ -223,6 +233,27 @@ def test_lattice_arrangement_n1000():
     d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
     np.fill_diagonal(d2, 4.0)
     assert math.sqrt(float(d2.min())) >= 1.0 - 1e-12
+
+
+#: sha256 prefixes of lattice_complete_arrangement(n).coords as little-endian
+#: float64, recorded from the per-point construction (math.hypot and
+#: math.atan2 on each candidate, sorted by distance, angle, index).
+#: np.hypot reorders equal distances from n = 1191 on, sqrt(x*x + y*y) from
+#: n = 4.
+LATTICE_DIGESTS = {
+    2: "2f28529649d3b6b2", 3: "94c3d388be3e9c1f", 4: "6233bd55d3ab9f91",
+    7: "f878aec6eca5a38c", 19: "84406c43d908a9b6", 100: "497f7dd4cd518596",
+    600: "135bf3ec4469092e", 1000: "dac333d8d6ea057e",
+    1191: "233e844e70461264", 1499: "b995d7f0b5e22887",
+    2600: "b3c1683c1f075c7a", 10 ** 4: "c1b92520d22a3199",
+}
+
+
+def test_lattice_arrangement_pinned():
+    for n, digest in LATTICE_DIGESTS.items():
+        coords = lattice_complete_arrangement(n).coords
+        got = hashlib.sha256(coords.astype("<f8").tobytes()).hexdigest()
+        assert got[:16] == digest, n
 
 
 def test_from_coloring_widths():
