@@ -61,7 +61,7 @@ def kn_upper(n):
         raise ParameterError("need n >= 2")
     if n <= 8:
         return COMPLETE_WIDTH[n]
-    w, _ = diameter(lattice_complete_arrangement(n).array())
+    w, _ = diameter(lattice_complete_arrangement(n).coords)
     return w
 
 

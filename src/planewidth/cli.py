@@ -150,7 +150,7 @@ def cmd_verify(args):
     g = load_graph(args.graph)
     r = read_realization(args.realization)
     if args.norm is not None:
-        r = Realization(r.array(), _parse_norm(args.norm))
+        r = Realization(r.coords, _parse_norm(args.norm))
     ev = evaluate(g, r, tol=args.tol)
     print("width %s" % _fmt(ev.width))
     print("min_edge_distance %s" % _fmt(ev.min_edge_distance))
@@ -193,13 +193,14 @@ def cmd_plot(args):
     return 0
 
 
-def render_svg(r, g=None, scale=100.0):
+def render_svg(r, g=None):
     """2-D scatter with edges and a 1-unit scale bar; 100 px per plane unit."""
     if g is not None and g.n != r.n:
         raise ParameterError("realization has %d points but the graph has %d "
                              "vertices" % (r.n, g.n))
+    scale = 100.0
     pts = np.zeros((max(r.n, 1), 2))
-    pts[:r.n, :r.norm.dim] = r.array()        # a line sits on y = 0
+    pts[:r.n, :r.norm.dim] = r.coords          # a line sits on y = 0
     xmin, ymin = pts.min(axis=0).tolist()
     xmax, ymax = pts.max(axis=0).tolist()
     span = max(xmax - xmin, ymax - ymin, 1.0)
@@ -243,8 +244,14 @@ CHI_BUDGET_HELP = ("seconds for the whole chromatic solve: the clique, "
                    "(default %(default)s)")
 
 
+class _Parser(argparse.ArgumentParser):
+    # a usage error is an input error: one line, exit 1 (subparsers too)
+    def error(self, message):
+        raise ParameterError(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="planewidth")
+    ap = _Parser(prog="planewidth")
     sub = ap.add_subparsers(dest="verb", required=True)
 
     g = sub.add_parser("gen", help="generate a named graph family")
@@ -311,13 +318,11 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit:                          # only --help exits the parser
+        return 0
     except (OSError, ValueError) as exc:        # ParameterError included
         print("error: %s" % exc, file=sys.stderr)
         return 2 if isinstance(exc, CertificateError) else 1

@@ -27,21 +27,18 @@ class ImproperColoringError(CertificateError):
 
 @dataclass(frozen=True)
 class Coloring:
+    """One color per vertex; the color count k is the largest color + 1."""
+
     colors: tuple
-    k: int
 
     def __post_init__(self):
         object.__setattr__(self, "colors", tuple(int(c) for c in self.colors))
-        if self.colors and max(self.colors) >= self.k:
-            raise ParameterError("color index exceeds k")
         if any(c < 0 for c in self.colors):
             raise ParameterError("negative color")
 
-
-def coloring_from_list(colors):
-    colors = list(colors)
-    k = (max(colors) + 1) if colors else 0
-    return Coloring(tuple(colors), k)
+    @property
+    def k(self):
+        return max(self.colors) + 1 if self.colors else 0
 
 
 def check_proper(g, c):
@@ -61,19 +58,6 @@ def write_coloring(c, path):
     with open(path, "w") as fh:
         for v, col in enumerate(c.colors):
             fh.write("%d %d\n" % (v, col))
-
-
-def read_coloring(path):
-    pairs = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            v, col = line.split()
-            pairs.append((int(v), int(col)))
-    pairs.sort()
-    return coloring_from_list([col for _, col in pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +153,7 @@ class ChromaticResult:
 def greedy_dsatur(g):
     """DSATUR heuristic coloring; deterministic."""
     if g.n == 0:
-        return coloring_from_list([])
+        return Coloring(())
     adj = g.adjacency()
     colors = [-1] * g.n
     sat = [set() for _ in range(g.n)]
@@ -182,7 +166,7 @@ def greedy_dsatur(g):
         colors[v] = c
         for w in adj[v]:
             sat[w].add(c)
-    return coloring_from_list(colors)
+    return Coloring(colors)
 
 
 def _greedy_independent_set(adj):
@@ -284,9 +268,9 @@ def chromatic_number(g, budget=10.0):
 
 def _chromatic(g, deadline):
     if g.n == 0:
-        return ChromaticResult(0, 0, coloring_from_list([]), True, 0)
+        return ChromaticResult(0, 0, Coloring(()), True, 0)
     if g.m == 0:
-        return ChromaticResult(1, 1, coloring_from_list([0] * g.n), True, 1)
+        return ChromaticResult(1, 1, Coloring([0] * g.n), True, 1)
 
     # peel universal vertices
     universal = np.bincount(g.edge_array.ravel(), minlength=g.n) == g.n - 1
@@ -296,7 +280,7 @@ def _chromatic(g, deadline):
         colors = np.empty(g.n, dtype=np.intp)
         colors[universal] = np.arange(shift)
         colors[~universal] = shift + np.array(sub.coloring.colors, dtype=int)
-        witness = Coloring(colors.tolist(), shift + sub.coloring.k)
+        witness = Coloring(colors.tolist())
         return ChromaticResult(sub.lower + shift, sub.upper + shift,
                                witness, sub.exact, sub.omega + shift)
 
@@ -313,8 +297,7 @@ def _chromatic(g, deadline):
 
     try:
         best_k, best_colors = _exact_chromatic(adj, lower, greedy, deadline)
-        return ChromaticResult(best_k, best_k,
-                               Coloring(tuple(best_colors), best_k), True,
+        return ChromaticResult(best_k, best_k, Coloring(best_colors), True,
                                omega)
     except _Timeout:
         return ChromaticResult(lower, greedy.k, greedy, False, omega)

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphs import ParameterError
+
 INF = float("inf")
 SQRT3 = math.sqrt(3.0)
 
@@ -21,10 +23,10 @@ class NormSpec:
     dim: int = 2
 
     def __post_init__(self):
-        if self.p != INF and self.p < 1:
-            raise ValueError("p must be >= 1")
+        if not self.p >= 1:
+            raise ParameterError("p must be >= 1, got %r" % (self.p,))
         if self.dim not in (1, 2):
-            raise ValueError("dim must be 1 or 2")
+            raise ParameterError("dim must be 1 or 2")
 
 
 L2 = NormSpec(2.0, 2)
@@ -129,7 +131,7 @@ def diameter(pts, norm=L2):
     pts = _as_points(pts)
     n = len(pts)
     if n == 0:
-        raise ValueError("diameter of empty set")
+        raise ParameterError("diameter of empty set")
     if n == 1:
         return 0.0, (0, 0)
     if norm.p == 2.0 and pts.shape[1] == 2 and n > 64:
@@ -205,7 +207,7 @@ def _mismatch(pts, theta, width):
     return 0.0
 
 
-def pal_hexagon(pts, tol=1e-9):
+def pal_hexagon(pts):
     """Regular hexagon of width = diameter containing all points.
 
     Existence is guaranteed for every bounded plane set; the orientation is
@@ -214,7 +216,7 @@ def pal_hexagon(pts, tol=1e-9):
     """
     pts = _as_points(pts)
     if len(pts) == 0:
-        raise ValueError("empty point set")
+        raise ParameterError("empty point set")
     if len(pts) == 1:
         return Hexagon((float(pts[0, 0]), float(pts[0, 1])), 0.0, 0.0)
     width, _ = diameter(pts)
@@ -259,6 +261,6 @@ def pal_hexagon(pts, tol=1e-9):
     defect = hexagon.containment_defect(pts)
     if defect > 0:
         hexagon = Hexagon(hexagon.center, theta, width + 2.0 * defect + 1e-15)
-        if hexagon.width > width + max(tol, 2.0 * defect + 1e-12):
+        if hexagon.width > width + max(1e-9, 2.0 * defect + 1e-12):
             raise AssertionError("hexagon enclosure failed to certify")
     return hexagon

@@ -1,8 +1,8 @@
 """Graph values, named generators, composition operators and file formats.
 
 Vertices are dense 0-based integers.  A graph stores its edges as one sorted,
-read-only ``(m, 2)`` array, so graphs are immutable values; the frozenset,
-adjacency sets and degrees are views derived from it.
+read-only ``(m, 2)`` array, so graphs are immutable values; the frozenset
+and adjacency sets are views derived from it.
 """
 
 from __future__ import annotations
@@ -93,9 +93,6 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         return adj
-
-    def degree(self, v):
-        return int(np.count_nonzero(self.edge_array == v))
 
 
 def graph_from_edges(n, pairs):
@@ -189,14 +186,19 @@ def circle_star(n, eps):
 
 
 def circle_star_min_n(eps):
-    """Smallest n >= 2 with (2+eps) sin(n*pi/(6n+1)) >= 1."""
+    """Smallest n in 2..10**6 with (2+eps) sin(n*pi/(6n+1)) >= 1."""
     if not 0 < eps < math.inf:
         raise ParameterError("eps must be positive and finite")
+
+    def short(n):
+        return (2.0 + eps) * math.sin(n * math.pi / (6 * n + 1)) < 1.0
+
+    # the left side increases with n, so if n = 10**6 fails every n does
+    if short(10 ** 6):
+        raise ParameterError("no feasible n for eps=%g" % eps)
     n = 2
-    while (2.0 + eps) * math.sin(n * math.pi / (6 * n + 1)) < 1.0:
+    while short(n):
         n += 1
-        if n > 10 ** 6:
-            raise ParameterError("no feasible n for eps=%g" % eps)
     return n
 
 

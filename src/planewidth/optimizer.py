@@ -16,9 +16,8 @@ import numpy as np
 
 from .coloring import greedy_dsatur
 from .geometry import INF, L2, NormSpec, lp_lengths
-from .graphs import ParameterError
-from .realization import COMPLETE_WIDTH, InfeasibleError, Realization, \
-    evaluate, feasibilize
+from .graphs import CertificateError, ParameterError
+from .realization import COMPLETE_WIDTH, Realization, evaluate, feasibilize
 
 _TIE_EPS = 1e-12        # distance floor so gradients stay finite at ties
 _STAGES = 8             # annealing stages, geometric in sharpness and penalty
@@ -180,7 +179,7 @@ def optimize(g, cfg=None):
     for restart in range(cfg.restarts):
         try:
             r = feasibilize(g, Realization(x[restart], cfg.norm))
-        except InfeasibleError:
+        except CertificateError:
             continue
         ev = evaluate(g, r, tol=1e-9)
         if not ev.valid:

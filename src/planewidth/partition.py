@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .coloring import coloring_from_list
+from .coloring import Coloring
 from .geometry import L2, SQRT3, _hex_directions, diameter, pal_hexagon
 from .graphs import CertificateError, ParameterError
 from .realization import evaluate
@@ -22,12 +22,6 @@ SCHEME_DELTA = {3: SQRT3 / 2.0, 4: math.sqrt(2.0) / 2.0, 7: 0.5}
 
 #: maximum realization width each scheme can turn into a proper coloring
 SCHEME_THRESHOLD = {3: 2.0 / SQRT3, 4: math.sqrt(2.0), 7: 2.0}
-
-
-class PartitionPreconditionError(CertificateError):
-    def __init__(self, message, threshold=None):
-        self.threshold = threshold
-        super().__init__(message)
 
 
 def partition_unit(points, scheme):
@@ -45,8 +39,7 @@ def partition_unit(points, scheme):
         return []
     d, _ = diameter(pts, L2)
     if d > 1.0 + 1e-9:
-        raise PartitionPreconditionError(
-            "diameter %.12g exceeds 1" % d, threshold=1.0)
+        raise CertificateError("diameter %.12g exceeds 1" % d)
     if len(pts) == 1:
         return [0]
     split = {3: _hex_sectors, 4: _square_quadrants, 7: _hex_core_rim}[scheme]
@@ -168,14 +161,13 @@ def extract_coloring(g, r, scheme):
     thr = SCHEME_THRESHOLD[scheme]
     ev = evaluate(g, r)
     if not ev.valid:
-        raise PartitionPreconditionError("realization is invalid")
+        raise CertificateError("realization is invalid")
     if ev.width > thr + 1e-9:
-        raise PartitionPreconditionError(
-            "width %.12g exceeds scheme-%d threshold %.12g"
-            % (ev.width, scheme, thr), threshold=thr)
+        raise CertificateError("width %.12g exceeds scheme-%d threshold %.12g"
+                               % (ev.width, scheme, thr))
     if ev.width == 0.0:
-        return coloring_from_list([0] * g.n)
-    return _compact(partition_unit(r.array() / ev.width, scheme))
+        return Coloring([0] * g.n)
+    return _compact(partition_unit(r.coords / ev.width, scheme))
 
 
 def _compact(labels):
@@ -185,7 +177,7 @@ def _compact(labels):
                                   return_index=True, return_inverse=True)
     rank = np.empty_like(first)
     rank[np.argsort(first)] = np.arange(len(first))
-    return coloring_from_list(rank[inverse.reshape(-1)].tolist())
+    return Coloring(rank[inverse.reshape(-1)].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -213,21 +205,21 @@ def tiling_coloring(g, r):
         raise ParameterError("tiling coloring is Euclidean only")
     ev = evaluate(g, r)
     if not ev.valid:
-        raise PartitionPreconditionError("realization is invalid")
+        raise CertificateError("realization is invalid")
     d = ev.width
     if d == 0.0:
-        return coloring_from_list([0] * g.n), 1
+        return Coloring([0] * g.n), 1
     t = tiling_parameter(d)
     step = SQRT3 * (d / (3.0 * t))             # cell side d/(3t), times sqrt 3
-    hexa = pal_hexagon(r.array())
+    hexa = pal_hexagon(r.coords)
     # cell normals: the enclosure's corners lie along these directions,
     # t lattice steps from the center
     basis = (_hex_directions(hexa.orientation + math.pi / 6.0, 2) * step).T
-    frac = (r.array() - np.asarray(hexa.center)) @ np.linalg.inv(basis).T
+    frac = (r.coords - np.asarray(hexa.center)) @ np.linalg.inv(basis).T
     cells = _nearest_hex_cells(frac)
     steps_out = (np.abs(cells).sum(axis=1) + np.abs(cells.sum(axis=1))) // 2
     if steps_out.max() > t:
-        raise PartitionPreconditionError(
+        raise CertificateError(
             "point fell outside the %d designated cells" % tiling_color_cap(t))
     return _compact(cells), t
 

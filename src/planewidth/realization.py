@@ -33,17 +33,13 @@ COMPLETE_WIDTH = {
 }
 
 
-class InfeasibleError(CertificateError):
-    pass
-
-
 @dataclass(frozen=True, eq=False)
 class Realization:
     """One point per vertex under a norm.
 
     Built from any (n, dim) array-like, such as a tuple of coordinate tuples;
-    ``coords`` then holds the points as a read-only (n, dim) float array,
-    which ``array()`` returns, and ``points`` gives them back as tuples.
+    ``coords`` then holds the points as a read-only (n, dim) float array, and
+    ``points`` gives them back as tuples.
     """
 
     coords: np.ndarray
@@ -75,9 +71,6 @@ class Realization:
     def points(self):
         return tuple(zip(*self.coords.T.tolist()))
 
-    def array(self):
-        return self.coords
-
 
 @dataclass(frozen=True)
 class Evaluation:
@@ -99,7 +92,7 @@ def evaluate(g, r, tol=1e-9):
                              % (r.n, g.n))
     if g.n == 0:
         return Evaluation(0.0, math.inf, True)
-    arr = r.array()
+    arr = r.coords
     width, _ = diameter(arr, r.norm)
     if g.m == 0:
         return Evaluation(width, math.inf, True)
@@ -124,10 +117,10 @@ def feasibilize(g, r):
     if r.n != g.n:
         raise ParameterError("realization has %d points for %d vertices"
                              % (r.n, g.n))
-    arr = r.array()
+    arr = r.coords
     shortest = float(edge_lengths(arr, g.edge_array, r.norm).min())
     if shortest == 0.0:
-        raise InfeasibleError("adjacent vertices share a point")
+        raise CertificateError("adjacent vertices share a point")
     if abs(shortest - 1.0) <= 1e-12:
         return r
     centroid = arr.mean(axis=0)
@@ -206,8 +199,8 @@ def color_class_targets(k):
     if k <= 0:
         raise ParameterError("k must be positive")
     if k <= 8:
-        return known_complete_arrangement(max(k, 2)).array()[:k]
-    return lattice_complete_arrangement(k).array()
+        return known_complete_arrangement(max(k, 2)).coords[:k]
+    return lattice_complete_arrangement(k).coords
 
 
 def from_coloring(g, c):
@@ -246,7 +239,7 @@ def pullback(phi, r_target):
         raise CertificateError("map is not a homomorphism")
     if r_target.n != phi.target.n:
         raise ParameterError("realization does not match target graph")
-    return Realization(r_target.array()[np.asarray(phi.map, dtype=np.intp)],
+    return Realization(r_target.coords[np.asarray(phi.map, dtype=np.intp)],
                        r_target.norm)
 
 
@@ -269,7 +262,7 @@ def join_realization(g, h, r_g, r_h):
 
 def _aligned(r):
     """Rotate/translate so one diametral point a sits at the origin, b on -x."""
-    arr = r.array()
+    arr = r.coords
     if r.n == 1:
         return arr - arr[0]
     _, (i, j) = diameter(arr, r.norm)
@@ -283,7 +276,7 @@ def _aligned(r):
 
 def product_realization(g, h, r_g, r_h):
     """Vector-sum arrangement of the Cartesian product (vertex (u,x) = u*h.n+x)."""
-    ag, ah = r_g.array(), r_h.array()
+    ag, ah = r_g.coords, r_h.coords
     return Realization((ag[:, None, :] + ah[None, :, :]).reshape(-1, 2), L2)
 
 
@@ -294,7 +287,7 @@ def union_realization(g, h, r_g, r_h):
         raise ParameterError("union construction is Euclidean only")
     out = []
     for r in (r_g, r_h):
-        arr = r.array()
+        arr = r.coords
         hexa = pal_hexagon(arr)
         t = -hexa.orientation
         rot = np.array([[math.cos(t), -math.sin(t)],
@@ -336,7 +329,7 @@ def _fmt(x):
 def write_realization(r, path):
     norm = '"inf"' if r.norm.p == INF else _fmt(r.norm.p)
     rows = ",\n    ".join(
-        "[" + ", ".join(_fmt(x) for x in p) + "]" for p in r.array().tolist())
+        "[" + ", ".join(_fmt(x) for x in p) + "]" for p in r.coords.tolist())
     with open(path, "w") as fh:
         fh.write('{\n  "n": %d,\n  "norm": %s,\n  "dim": %d,\n  "points": [\n    %s\n  ]\n}\n'
                  % (r.n, norm, r.norm.dim, rows))

@@ -120,7 +120,7 @@ def test_criterion_04_lattice_asymptotics():
     in_bracket = True
     for n in (100, 1000, 10000):
         r = lattice_complete_arrangement(n)
-        w, _ = diameter(r.array())
+        w, _ = diameter(r.coords)
         ratios.append(w / math.sqrt(n))
         asymptote = LATTICE_RATIO * math.sqrt(n)
         in_bracket &= asymptote - 1.0 <= w <= asymptote + 2.0 / SQRT3

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from planewidth.cli import load_graph, main
-from planewidth.coloring import check_proper, read_coloring
+from planewidth.coloring import Coloring, check_proper
 from planewidth.realization import Realization, read_realization, \
     write_realization
 
@@ -121,7 +121,7 @@ def test_color_scheme_4_diamond(capsys, tmp_path):
     code, out, _ = run(capsys, "color", g, "--from", rpath,
                        "--scheme", "4", "-o", cpath)
     assert code == 0
-    c = read_coloring(cpath)
+    c = Coloring(np.loadtxt(cpath, dtype=np.int64).reshape(-1, 2)[:, 1])
     assert check_proper(load_graph(g), c) is None
     assert "colors %d" % c.k in out and c.k <= 4
 
@@ -363,3 +363,31 @@ def test_chi_budget_nan_rejected(capsys, tmp_path, verb):
     if verb == "realize":
         argv += ["--method", "coloring", "-o", str(tmp_path / "r.json")]
     assert_input_error(run(capsys, *argv), "budget must be a nonnegative")
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["gen", "--family", "circle-star", "--params", "2", "-inf", "-o", "OUT"],
+     "unrecognized arguments: -inf"),
+    (["bounds"], "the following arguments are required: graph"),
+])
+def test_usage_error_is_one_line(capsys, tmp_path, argv, fragment):
+    out = str(tmp_path / "x.txt")
+    assert_input_error(run(capsys, *[out if a == "OUT" else a for a in argv]),
+                       fragment)
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["bounds", "--help"]])
+def test_help_exits_0(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: planewidth")
+
+
+@pytest.mark.parametrize("norm", ["nan", "0.5"])
+def test_verify_rejects_norm_below_1(capsys, tmp_path, norm):
+    g = write_text(tmp_path, "k3.txt", "n 3\n0 1\n1 2\n0 2\n")
+    rpath = str(tmp_path / "small.json")
+    write_realization(Realization([[0, 0], [0.1, 0], [0, 0.1]]), rpath)
+    assert_input_error(run(capsys, "verify", g, rpath, "--norm", norm),
+                       "p must be >= 1")

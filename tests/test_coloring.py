@@ -13,8 +13,8 @@ import pytest
 from planewidth.bounds import pw_interval
 from planewidth.coloring import (
     Coloring, ImproperColoringError, _greedy_independent_set, check_proper,
-    chromatic_number, coloring_from_list, greedy_dsatur, max_clique,
-    read_coloring, require_proper, write_coloring,
+    chromatic_number, greedy_dsatur, max_clique, require_proper,
+    write_coloring,
 )
 from planewidth.graphs import (
     Graph, ParameterError, circulant, circle_star, complement, complete, cycle,
@@ -25,30 +25,42 @@ from conftest import random_graph
 
 
 def test_coloring_value_checks():
-    c = coloring_from_list([0, 1, 0])
-    assert c.k == 2
-    with pytest.raises(ValueError):
-        Coloring((0, 3), 2)
+    c = Coloring([0, 1, 0])
+    assert c.k == 2 and c.colors == (0, 1, 0)
+    with pytest.raises(ParameterError):
+        Coloring((0, -1))
+
+
+def test_coloring_k_is_largest_color_plus_one():
+    assert Coloring(()).k == 0
+    assert Coloring((0, 3)).k == 4
+    assert Coloring(np.array([2, 0, 1, 1])).k == 3
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        colors = rng.integers(0, 9, size=int(rng.integers(1, 12)))
+        assert Coloring(colors.tolist()).k == colors.max() + 1
 
 
 def test_check_proper():
     g = cycle(4)
-    assert check_proper(g, coloring_from_list([0, 1, 0, 1])) is None
-    assert check_proper(g, coloring_from_list([0, 0, 1, 1])) == (0, 1)
+    assert check_proper(g, Coloring([0, 1, 0, 1])) is None
+    assert check_proper(g, Coloring([0, 0, 1, 1])) == (0, 1)
     with pytest.raises(ImproperColoringError) as ei:
-        require_proper(g, coloring_from_list([0, 0, 1, 1]))
+        require_proper(g, Coloring([0, 0, 1, 1]))
     assert ei.value.edge == (0, 1)
     assert ei.value.witness == (0, 1)
 
 
 def test_coloring_file_round_trip(tmp_path):
-    c = coloring_from_list([2, 0, 1, 1])
+    c = Coloring([2, 0, 1, 1])
     path = str(tmp_path / "c.txt")
     write_coloring(c, path)
     with open(path) as fh:
         lines = fh.read().strip().splitlines()
     assert lines[0].split() == ["0", "2"]
-    assert read_coloring(path).colors == c.colors
+    back = np.loadtxt(path, dtype=np.int64).reshape(-1, 2)
+    assert back[:, 0].tolist() == [0, 1, 2, 3]
+    assert Coloring(back[:, 1].tolist()) == c
 
 
 def test_max_clique_basics():
@@ -356,6 +368,25 @@ def test_matches_reference_on_certify_corpus(workloads):
         assert _as_tuple(chromatic_number(g)) == _reference_chromatic(g), g
 
 
+def test_chromatic_coloring_k_is_its_upper_bound(workloads):
+    # the witness's color count was stored as the upper bound before k was
+    # derived from the colors: every branch must still give the same k
+    rng = np.random.default_rng(808)
+    graphs = [random_graph(rng, int(rng.integers(1, 41)),
+                           float(rng.uniform(0.05, 0.9))) for _ in range(60)]
+    w = workloads
+    graphs += [generate(spec) for spec, _ in w.CERTIFY_FAMILIES]
+    graphs += [Graph(n, w.relabel(w.gnp_edges(n, p, seed), n, [7, j])[0])
+               for j, (n, p, seed) in enumerate(w.CERTIFY_SWEEP)]
+    graphs += [join(complete(2), graph_from_edges(3, [])), complete(1),
+               complete(6), graph_from_edges(0, []), graph_from_edges(4, [])]
+    for g in graphs:
+        for budget in (10.0, 0.0):
+            res = chromatic_number(g, budget=budget)
+            assert res.coloring.k == res.upper, (g, budget)
+            assert res.coloring.k == max(res.coloring.colors, default=-1) + 1
+
+
 def _trap_graph():
     """chi 3, but the greedy independent set gives ceil(n / |I|) = 4."""
     return graph_from_edges(7, [(0, 3), (0, 4), (0, 6), (1, 2), (1, 5),
@@ -374,7 +405,7 @@ def test_greedy_independent_set_is_not_a_chi_bound():
     # ceil(n / |I|) = 4 exceeds chi = 3: the triangle and a 3-coloring
     assert math.ceil(g.n / len(greedy_set)) == 4
     assert (1, 2) in g.edges and (1, 5) in g.edges and (2, 5) in g.edges
-    assert check_proper(g, coloring_from_list([1, 2, 0, 2, 2, 1, 0])) is None
+    assert check_proper(g, Coloring([1, 2, 0, 2, 2, 1, 0])) is None
     # DSATUR needs 4 colors, so a solver that took ceil(n / |I|) as a lower
     # bound would stop at the heuristic and report chi = 4
     assert greedy_dsatur(g).k == 4

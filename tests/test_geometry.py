@@ -8,6 +8,7 @@ import pytest
 from planewidth.geometry import (
     INF, L2, LINF, NormSpec, convex_hull, diameter, distance, pal_hexagon,
 )
+from planewidth.graphs import ParameterError
 
 
 def test_distance_examples():
@@ -18,10 +19,12 @@ def test_distance_examples():
 
 
 def test_norm_validation():
-    with pytest.raises(ValueError):
-        NormSpec(0.5, 2)
-    with pytest.raises(ValueError):
-        NormSpec(2, 3)
+    # input errors are ParameterErrors (ValueErrors), so the CLI exits 1
+    for make in [lambda: NormSpec(0.5, 2), lambda: NormSpec(math.nan, 2),
+                 lambda: NormSpec(-INF, 2), lambda: NormSpec(2, 3),
+                 lambda: diameter(np.empty((0, 2))), lambda: pal_hexagon([])]:
+        with pytest.raises(ParameterError):
+            make()
 
 
 def test_distance_symmetry_and_triangle():

@@ -12,9 +12,8 @@ from planewidth.geometry import Hexagon, diameter, pal_hexagon
 from planewidth.graphs import CertificateError, complete, cycle, \
     graph_from_edges
 from planewidth.partition import (
-    SCHEME_DELTA, SCHEME_THRESHOLD, PartitionPreconditionError,
-    _nearest_hex_cells, extract_coloring, partition_unit, tiling_color_cap,
-    tiling_coloring, tiling_parameter,
+    SCHEME_DELTA, SCHEME_THRESHOLD, _nearest_hex_cells, extract_coloring,
+    partition_unit, tiling_color_cap, tiling_coloring, tiling_parameter,
 )
 from planewidth.realization import (
     Realization, evaluate, known_complete_arrangement,
@@ -61,7 +60,7 @@ def test_partition_single_point():
 
 def test_partition_rejects_wide_input():
     pts = np.array([[0.0, 0.0], [1.5, 0.0]])
-    with pytest.raises(PartitionPreconditionError):
+    with pytest.raises(CertificateError):
         partition_unit(pts, 3)
     with pytest.raises(ValueError):
         partition_unit(np.zeros((1, 2)), 5)
@@ -154,12 +153,12 @@ def test_extract_coloring_examples():
 def test_extract_coloring_threshold_errors():
     k4 = complete(4)
     r4 = known_complete_arrangement(4)         # width sqrt(2) > 2/sqrt(3)
-    with pytest.raises(PartitionPreconditionError) as ei:
+    with pytest.raises(CertificateError) as ei:         # the CLI's exit 2
         extract_coloring(k4, r4, 3)
-    assert ei.value.threshold == pytest.approx(2 / math.sqrt(3))
-    assert isinstance(ei.value, CertificateError)     # the CLI's exit 2
+    assert str(ei.value) == ("width %.12g exceeds scheme-3 threshold %.12g"
+                             % (math.sqrt(2), 2 / math.sqrt(3)))
     k8 = complete(8)
-    with pytest.raises(PartitionPreconditionError):
+    with pytest.raises(CertificateError):
         extract_coloring(k8, known_complete_arrangement(8), 7)
 
 
@@ -230,7 +229,7 @@ def test_tiling_coloring_random():
 def test_tiling_coloring_large_width_count():
     # quadratic color budget at large width: count < ((2/sqrt(3)+0.1) d)^2
     r = lattice_complete_arrangement(2600)
-    pts = r.array()
+    pts = r.coords
     w, _ = diameter(pts)
     assert w >= 50.0
     g = cycle(2600)
@@ -407,8 +406,8 @@ def test_tiling_matches_per_point_reference():
         if not ev.valid or ev.width == 0.0:
             continue
         c, _ = tiling_coloring(g, r)
-        assert list(c.colors) == reference_cells(r.array(), ev.width)
+        assert list(c.colors) == reference_cells(r.coords, ev.width)
         done += 1
     r = lattice_complete_arrangement(600)
     c, _ = tiling_coloring(cycle(600), r)
-    assert list(c.colors) == reference_cells(r.array(), diameter(r.array())[0])
+    assert list(c.colors) == reference_cells(r.coords, diameter(r.coords)[0])
