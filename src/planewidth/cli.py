@@ -113,7 +113,7 @@ def cmd_bounds(args):
 
 
 def _seed(args):
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("PW_SEED")
     return int(env) if env else 0
@@ -132,13 +132,10 @@ def cmd_realize(args):
     elif method in ("line", "linf-grid"):
         chrom = chromatic_number(g, budget=args.chi_budget)
         r = low_dim_realization(g, chrom.coloring, method)
-    elif method == "circular":
+    else:                                       # "circular"
         if not args.angles or args.chi_c is None:
             raise ParameterError("circular method needs --angles and --chi-c")
         r = from_circular(g, _read_angles(args.angles, g.n), args.chi_c)
-    else:                                       # "optimize"
-        cfg = OptimizeConfig(restarts=args.restarts, seed=_seed(args))
-        r = optimize(g, cfg).realization
     write_realization(r, args.output)
     ev = evaluate(g, r)
     print("width %s" % _fmt(ev.width))
@@ -277,13 +274,11 @@ def build_parser():
     r.add_argument("graph")
     r.add_argument("--method", required=True,
                    choices=["coloring", "table", "lattice", "circular",
-                            "optimize", "line", "linf-grid"])
+                            "line", "linf-grid"])
     r.add_argument("--angles")
     r.add_argument("--chi-c", type=float, default=None)
     r.add_argument("--chi-budget", type=float, default=10.0,
                    help=CHI_BUDGET_HELP)
-    r.add_argument("--restarts", type=int, default=50)
-    r.add_argument("--seed", type=int, default=None)
     r.add_argument("-o", "--output", required=True)
     r.set_defaults(func=cmd_realize)
 

@@ -78,8 +78,6 @@ def max_clique(g, deadline=None):
     stops past it with the largest clique found so far: a maximal clique,
     of two or more vertices when g has an edge.
     """
-    if g.n == 0:
-        return []
     adj = [0] * g.n                 # bitset adjacency
     for u, v in g.edge_array.tolist():
         adj[u] |= 1 << v
@@ -152,8 +150,6 @@ class ChromaticResult:
 
 def greedy_dsatur(g):
     """DSATUR heuristic coloring; deterministic."""
-    if g.n == 0:
-        return Coloring(())
     adj = g.adjacency()
     colors = [-1] * g.n
     sat = [set() for _ in range(g.n)]

@@ -217,8 +217,6 @@ def pal_hexagon(pts):
     pts = _as_points(pts)
     if len(pts) == 0:
         raise ParameterError("empty point set")
-    if len(pts) == 1:
-        return Hexagon((float(pts[0, 0]), float(pts[0, 1])), 0.0, 0.0)
     width, _ = diameter(pts)
     if width == 0.0:
         return Hexagon((float(pts[0, 0]), float(pts[0, 1])), 0.0, 0.0)
@@ -253,7 +251,6 @@ def pal_hexagon(pts):
     s = min(max(0.5 * (max(slo, lo[1]) + min(shi, hi[1])), slo), shi)
     t1 = min(max(s, lo[1]), hi[1])
     t0 = min(max(s - lo[2], lo[0]), hi[0])
-    t2 = s - t0
     # center from projections onto normals 0 and 1 (60 degrees apart)
     A = normals[:2]
     c = np.linalg.solve(A, np.array([t0, t1]))

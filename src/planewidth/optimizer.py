@@ -212,8 +212,6 @@ def brute_force(g, resolution, d_max=None, max_n=4):
             % (g.n, max_n))
     if g.m == 0 or resolution <= 0:
         raise ParameterError("need at least one edge and positive resolution")
-    if g.n < 2:
-        raise ParameterError("need at least two vertices")
     if d_max is None:
         d_max = 1.0 + COMPLETE_WIDTH[greedy_dsatur(g).k]    # k <= n <= 5
 
@@ -222,18 +220,20 @@ def brute_force(g, resolution, d_max=None, max_n=4):
     axis = np.arange(-steps, steps + 1, dtype=float) * resolution
     xs, ys = (c.ravel() for c in np.meshgrid(axis, axis, indexing="ij"))
     eps = 1e-12
-
-    best = {"width": math.inf, "points": None}
+    best_width, best_points = math.inf, None
 
     def lengths(xs, ys, q):
         """L2 distances from the points (xs, ys) to the point q."""
         dx, dy = xs - q[0], ys - q[1]
         return np.sqrt(dx * dx + dy * dy)
 
-    def allowed(v, ys, cols, on_axis):
-        """Mask of the points where vertex v keeps unit edges (and, while
-        everything so far is on the x axis, the reflection symmetry)."""
+    def allowed(v, xs, ys, cols, on_axis):
+        """Mask of the points where vertex v keeps unit edges and the
+        symmetry: vertex 1 on the nonnegative x axis, and nothing below it
+        while everything so far is on the x axis."""
         mask = ys >= 0.0 if on_axis else np.ones(len(ys), dtype=bool)
+        if v == 1:
+            mask &= (ys == 0.0) & (xs >= 0.0)
         for u in adj[v]:
             if u < v:
                 mask &= cols[u] >= 1.0 - eps
@@ -247,23 +247,24 @@ def brute_force(g, resolution, d_max=None, max_n=4):
         A point whose ``far`` reaches the incumbent is dropped for the whole
         subtree: ``far`` only grows as vertices are added.
         """
+        nonlocal best_width, best_points
         if v == g.n - 1:
             # the argmin over all allowed points is the argmin over those
             # with far below the incumbent whenever it can improve on it
             reach = np.maximum(far, width)
-            reach[~allowed(v, ys, cols, on_axis)] = np.inf
+            reach[~allowed(v, xs, ys, cols, on_axis)] = np.inf
             i = int(np.argmin(reach))
-            if reach[i] < best["width"] - eps:
-                best["width"] = float(reach[i])
-                best["points"] = points + [(xs[i], ys[i])]
+            if reach[i] < best_width - eps:
+                best_width = float(reach[i])
+                best_points = points + [(xs[i], ys[i])]
             return
-        keep = far < best["width"] - eps
+        keep = far < best_width - eps
         xs, ys, far = xs[keep], ys[keep], far[keep]
         cols = [c[keep] for c in cols]
-        cand = np.nonzero(allowed(v, ys, cols, on_axis))[0]
+        cand = np.nonzero(allowed(v, xs, ys, cols, on_axis))[0]
         reach = np.maximum(far[cand], width)
         for ci in np.argsort(reach, kind="stable"):
-            if reach[ci] >= best["width"] - eps:
+            if reach[ci] >= best_width - eps:
                 break
             q = (xs[cand[ci]], ys[cand[ci]])
             col = lengths(xs, ys, q)
@@ -271,23 +272,8 @@ def brute_force(g, resolution, d_max=None, max_n=4):
                   np.maximum(far, col), float(reach[ci]),
                   on_axis and q[1] == 0.0)
 
-    # vertex 1 on the nonnegative x axis
     col0 = lengths(xs, ys, (0.0, 0.0))
-    for x1 in axis[axis >= 0.0]:
-        if 1 in adj[0] and x1 < 1.0 - eps:
-            continue
-        if x1 >= best["width"] - eps and x1 > 0:
-            continue
-        if g.n == 2:
-            if x1 < best["width"] - eps:
-                best["width"] = float(x1)
-                best["points"] = [(0.0, 0.0), (float(x1), 0.0)]
-            continue
-        col1 = lengths(xs, ys, (x1, 0.0))
-        # the diameter of the first two points is sqrt(x1 * x1) == x1
-        place(2, [(0.0, 0.0), (float(x1), 0.0)], xs, ys, [col0, col1],
-              np.maximum(col0, col1), float(x1), True)
-
-    if best["points"] is None:
+    place(1, [(0.0, 0.0)], xs, ys, [col0], col0, 0.0, True)
+    if best_points is None:
         raise AssertionError("oracle found no feasible grid placement")
-    return best["width"], Realization(best["points"], L2)
+    return best_width, Realization(best_points, L2)

@@ -213,24 +213,22 @@ def from_coloring(g, c):
 def from_circular(g, angles, chi_c):
     """Realize a circular coloring on a circle of radius 1/(2 sin(pi/chi_c)).
 
-    Every edge must span an angular gap of at least 2*pi/chi_c; the resulting
-    width is at most 1/sin(pi/chi_c).
+    An edge spanning an angular gap of at least 2*pi/chi_c is a chord of
+    length at least 1, and the width is at most 1/sin(pi/chi_c).  The placed
+    points are judged by ``evaluate``: its first violating edge is the
+    witness of the CertificateError raised.
     """
-    if chi_c < 2:
-        raise ParameterError("chi_c must be >= 2")
-    if len(angles) != g.n:
-        raise ParameterError("need one angle per vertex")
-    gap = 2.0 * math.pi / chi_c
-    a = np.asarray(angles, dtype=float)[g.edge_array]
-    delta = np.abs(a[:, 0] - a[:, 1]) % (2.0 * math.pi)
-    delta = np.minimum(delta, 2.0 * math.pi - delta)
-    bad = np.flatnonzero(delta < gap - 1e-9)
-    if len(bad):
-        u, v = g.edge_array[bad[0]].tolist()
-        raise CertificateError("edge (%d, %d) has angular gap %.6f < %.6f"
-                               % (u, v, delta[bad[0]], gap), witness=(u, v))
+    if not 2 <= chi_c < math.inf:
+        raise ParameterError("chi_c must be a finite number >= 2, got %r"
+                             % (chi_c,))
     r = 1.0 / (2.0 * math.sin(math.pi / chi_c))
-    return Realization([(r * math.cos(t), r * math.sin(t)) for t in angles], L2)
+    placed = Realization([(r * math.cos(t), r * math.sin(t)) for t in angles],
+                         L2)
+    bad = evaluate(g, placed).violating_edge
+    if bad is not None:
+        raise CertificateError("edge %r is shorter than 1 on the circle for "
+                               "chi_c = %r" % (bad, chi_c), witness=bad)
+    return placed
 
 
 def pullback(phi, r_target):

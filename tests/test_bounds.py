@@ -12,8 +12,8 @@ from planewidth.bounds import (
 )
 from planewidth.coloring import chromatic_number
 from planewidth.graphs import (
-    ParameterError, circulant, circle_star, complement, complete, cycle,
-    double_subdivide, graph_from_edges, groetzsch, odd_wheel, petersen,
+    ParameterError, circulant, circle_star, complement, complete, compose,
+    cycle, double_subdivide, graph_from_edges, groetzsch, odd_wheel, petersen,
 )
 from planewidth.realization import (
     Realization, evaluate, known_complete_arrangement, union_realization,
@@ -240,8 +240,11 @@ def _small_graphs(draw):
 @given(_small_graphs(), _small_graphs())
 def test_lower_at_most_upper(g, h):
     rep_g, rep_h = pw_interval(g), pw_interval(h)
-    reports = [rep_g, rep_h] + [compose_report(kind, g, h, rep_g, rep_h)
-                                for kind in ("join", "cartesian",
-                                             "disjoint-union")]
-    for rep in reports:
+    kinds = ("join", "cartesian", "disjoint-union")
+    reports = [(g, rep_g), (h, rep_h)] + [
+        (compose(kind, g, h), compose_report(kind, g, h, rep_g, rep_h))
+        for kind in kinds]
+    for graph, rep in reports:
         assert rep.lower <= rep.upper
+        ev = evaluate(graph, rep.upper_witness)
+        assert ev.valid and ev.width == rep.upper

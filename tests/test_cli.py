@@ -178,6 +178,20 @@ def test_realize_circular(capsys, tmp_path):
     assert width <= 1 / math.sin(4 * math.pi / 25) + 1e-9
 
 
+def test_bounds_circular_short_edge_exit_2(capsys, tmp_path):
+    """An edge that ``evaluate`` rejects is a certificate error, even when
+    its angular gap falls short of 2*pi/chi_c by under 1e-9."""
+    g = gen_graph(capsys, tmp_path, "circulant", 81, 10)
+    shrink = 1 - 0.9e-9 / (2 * math.pi / 8.1)
+    a = write_text(tmp_path, "angles.txt", "".join(
+        "%d %.17g\n" % (i, i * 2 * math.pi / 81 * shrink) for i in range(81)))
+    code, out, err = run(capsys, "bounds", g, "--angles", a, "--chi-c", "8.1",
+                         "--chi-budget", "2")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "(0, 10)" in err
+
+
 def test_optimize_verb_and_pw_seed(capsys, tmp_path, monkeypatch):
     g = gen_graph(capsys, tmp_path, "odd-wheel", 5)
     rpath = str(tmp_path / "w.json")

@@ -99,6 +99,7 @@ def test_greedy_dsatur_proper():
         g = random_graph(rng, 16, 0.5)
         c = greedy_dsatur(g)
         assert check_proper(g, c) is None
+    assert greedy_dsatur(graph_from_edges(0, [])) == Coloring(())
 
 
 def test_chromatic_small_exact():

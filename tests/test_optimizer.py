@@ -257,17 +257,22 @@ def _grid_minimum(g, resolution, d_max):
 
 @pytest.mark.parametrize("resolution", [0.25, 0.2])
 @pytest.mark.parametrize("g", [
+    complete(2),
     complete(3),
     graph_from_edges(3, [(0, 1), (1, 2)]),
+    graph_from_edges(3, [(0, 2), (1, 2)]),
     cycle(4),
     graph_from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]),
     complete(4),
-], ids=["K3", "P3", "C4", "K4-e", "K4"])
+], ids=["K2", "K3", "P3", "P3-0-not-1", "C4", "K4-e", "K4"])
 def test_oracle_matches_enumeration(g, resolution):
     d_max = 2.0
     w, r = brute_force(g, resolution, d_max=d_max)
     assert w == _grid_minimum(g, resolution, d_max)
     assert evaluate(g, r, tol=1e-12).width == w
+    # vertex 0 at the origin, vertex 1 on the nonnegative x axis
+    assert r.coords[0].tolist() == [0.0, 0.0]
+    assert r.coords[1, 1] == 0.0 <= r.coords[1, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -331,6 +331,26 @@ def test_from_circular_gap_violation():
         from_circular(complete(3), [0.0, 0.1, 2.0], 3.0)
 
 
+def test_from_circular_input_errors():
+    with pytest.raises(ParameterError, match="2 points for 3 vertices"):
+        from_circular(complete(3), [0.0, 2.0], 3.0)
+    for chi_c in (1.5, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="chi_c must be"):
+            from_circular(complete(3), [0.0, 2.0, 4.0], chi_c)
+
+
+def test_from_circular_short_chord_within_old_slack():
+    """A gap short of 2*pi/chi_c by under 1e-9 radians still makes the chord
+    (0, 10) 0.99999999889852875 long, which ``evaluate`` rejects."""
+    g = circulant(81, 10)
+    shrink = 1 - 0.9e-9 / (2 * math.pi / 8.1)
+    angles = [float("%.17g" % (i * 2 * math.pi / 81 * shrink))
+              for i in range(81)]
+    with pytest.raises(CertificateError) as info:
+        from_circular(g, angles, 8.1)
+    assert info.value.witness == (0, 10)
+
+
 def test_pullback():
     g = complete(4)
     r = square_realization()
