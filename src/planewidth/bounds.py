@@ -129,8 +129,8 @@ def pw_interval(g, chi_budget=10.0, opt_restarts=0, opt_seed=0,
     entries = [(evaluate(g, r).width, r, "coloring")]
     if circular is not None:
         angles, chi_c = circular
-        rc = from_circular(g, angles, chi_c)
-        entries.append((evaluate(g, rc).width, rc, "circular"))
+        rc = from_circular(g, angles, chi_c)    # judged by evaluate there
+        entries.append((diameter(rc.coords, rc.norm)[0], rc, "circular"))
     if witness is not None:
         ev = evaluate(g, witness)
         if not ev.valid:

@@ -27,11 +27,9 @@ from .realization import Realization, _fmt, evaluate, from_circular, \
 
 
 def load_graph(path):
-    if path.endswith(".col"):
-        return graphs_mod.read_dimacs(path)
-    with open(path) as fh:
-        head = fh.read(256).lstrip()
-    if head.startswith("p edge") or head.startswith("c "):
+    with open(path) as fh:              # no edge list starts with c or p
+        first = next((line.split()[0] for line in fh if not line.isspace()), "")
+    if path.endswith(".col") or first in ("c", "p"):
         return graphs_mod.read_dimacs(path)
     return graphs_mod.read_edge_list(path)
 

@@ -333,12 +333,15 @@ def write_edge_list(g, path):
 
 
 #: a line of the edge-list grammar, bar the lone count: blank, ``n <count>``
-#: or ``<u> <v>``, each with an optional ``#`` comment
+#: or ``<u> <v>``, each with an optional ``#`` comment.  The searches match
+#: the ``\n`` before a line, which ``re`` finds faster than ``^``; a bad
+#: line is tried against the plain ``<u> <v>`` line before the full one.
 _EDGE_LIST_LINE = r"[ \t]*(?:(?:n|[+-]?\d+)[ \t]+[+-]?\d+[ \t]*)?(?:#.*)?$"
-_BAD_EDGE_LIST_LINE = re.compile(r"^(?!%s)" % _EDGE_LIST_LINE, re.M | re.A)
+_BAD_EDGE_LIST_LINE = re.compile(r"\n(?!\d+ \d+$)(?!%s)" % _EDGE_LIST_LINE,
+                                 re.M | re.A)
 _LONE_COUNT = re.compile(r"(?:[ \t]*(?:#.*)?\n)*[ \t]*([+-]?\d+)[ \t]*(?:#.*)?$",
                          re.M | re.A)
-_COUNT = re.compile(r"^[ \t]*n[ \t]+([+-]?\d+)", re.M | re.A)
+_COUNT = re.compile(r"\n[ \t]*n[ \t]+([+-]?\d+)", re.A)
 
 
 def read_edge_list(path):
@@ -346,8 +349,9 @@ def read_edge_list(path):
 
     A lone ``<count>`` is accepted on the first data line only.  The vertex
     count is the largest count given or one past the largest endpoint.  The
-    whole file is checked against the grammar first, then parsed in one
-    ``np.loadtxt`` call that skips the ``n`` lines as comments.
+    whole file is checked against the grammar first; then the ``n`` lines are
+    cut out and the endpoints parsed in one ``np.fromstring`` call.  An
+    endpoint outside the int64 range is an error that names its line.
     """
     with open(path) as fh:
         text = fh.read()
@@ -355,20 +359,33 @@ def read_edge_list(path):
     lone = _LONE_COUNT.match(text)
     if lone:
         counts, start = [lone.group(1)], lone.end()
-    bad = _BAD_EDGE_LIST_LINE.search(text, start)
+    # a match at i in "\n" + text is the "\n" before the line text[i:]
+    bad = _BAD_EDGE_LIST_LINE.search("\n" + text, start)
     if bad:
         line = text[bad.start():].split("\n", 1)[0]
         raise ParameterError(
             "line %d: expected 'n <count>' or '<u> <v>', got %r"
             % (text.count("\n", 0, bad.start()) + 1,
                " ".join(line.partition("#")[0].split())))
-    count = max(map(int, counts + _COUNT.findall(text, start)), default=0)
-    pairs = np.empty((0, 2), dtype=np.intp)
-    if re.search(r"^[ \t]*[+-]?\d", text[start:], re.M | re.A):
-        pairs = np.loadtxt(text[start:].split("\n"), dtype=np.intp,
-                           comments=("#", "n"), ndmin=2)
-    n = max(count, int(pairs.max()) + 1) if len(pairs) else count
-    return Graph(n, pairs)
+    body = text[start:]
+    if "#" in body:
+        body = re.sub("#.*", "", body)
+    parts = _COUNT.split("\n" + body)
+    count = max(map(int, counts + parts[1::2]), default=0)
+    body = " ".join(parts[::2])
+    if not body or body.isspace():
+        return Graph(count)
+    pairs = np.fromstring(body, dtype=np.intp, sep=" ").reshape(-1, 2)
+    top = int(pairs.max())
+    if top == np.iinfo(np.intp).max:    # fromstring saturates on overflow
+        for pair in re.finditer(r"(?m)^[ \t]*([+-]?\d+)[ \t]+([+-]?\d+)", text):
+            for tok in pair.groups():
+                digits = tok.lstrip("+-").lstrip("0")
+                if len(digits) > 19 or int(digits or 0) > top + (tok[0] == "-"):
+                    lineno = text.count("\n", 0, pair.start()) + 1
+                    raise ParameterError("line %d: endpoint %s is out of "
+                                         "range" % (lineno, tok))
+    return Graph(max(count, top + 1), pairs)
 
 
 def write_dimacs(g, path):

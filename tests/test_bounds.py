@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from planewidth import bounds as bounds_mod, realization as realization_mod
 from planewidth.bounds import (
     LATTICE_RATIO, BoundReport, compose_report, kn_lower, kn_upper,
     pw_interval,
@@ -118,6 +119,24 @@ def test_circular_upper():
     # winning mechanism is the coloring; the circular bound still holds
     assert "coloring" in rep.upper_provenance
     assert rep.upper <= 2.0 + 1e-9
+
+
+def test_circular_placement_evaluated_once(monkeypatch):
+    # from_circular certifies its placement with evaluate; pw_interval reads
+    # the width of that placement without a second pass over the edges
+    calls = []
+
+    def counted(g, r, tol=1e-9):
+        calls.append(r)
+        return evaluate(g, r, tol)
+
+    monkeypatch.setattr(bounds_mod, "evaluate", counted)
+    monkeypatch.setattr(realization_mod, "evaluate", counted)
+    g = circulant(7, 2)
+    rep = pw_interval(g, circular=([2 * math.pi * i / 7 for i in range(7)], 3.5))
+    assert len(calls) == 2
+    assert rep.upper_provenance == ("circular",)
+    assert rep.upper == evaluate(g, rep.upper_witness).width
 
 
 def test_optimizer_mechanism_can_win():

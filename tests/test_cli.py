@@ -9,6 +9,7 @@ import pytest
 
 from planewidth.cli import load_graph, main
 from planewidth.coloring import Coloring, check_proper
+from planewidth.graphs import complete
 from planewidth.realization import Realization, read_realization, \
     write_realization
 
@@ -261,6 +262,33 @@ def test_edge_list_bare_count_and_bad_line(capsys, tmp_path):
     assert code == 0 and "upper 1" in out
     bad = write_text(tmp_path, "bad.txt", "3\n0 1\n1 two\n")
     assert_input_error(run(capsys, "bounds", bad), "line 3")
+
+
+@pytest.mark.parametrize("text, line", [
+    ("0 99999999999999999999\n", "line 1"),
+    ("n 3\n0 1\n1 -99999999999999999999\n", "line 3"),
+])
+def test_edge_list_overflowing_endpoint_exit_1(capsys, tmp_path, text, line):
+    g = write_text(tmp_path, "big.txt", text)
+    assert_input_error(run(capsys, "bounds", g), line, "out of range")
+
+
+@pytest.mark.parametrize("text", [
+    "c\np edge 3 3\ne 1 2\ne 2 3\ne 1 3\n",
+    "c\tcomment\np edge 3 3\ne 1 2\ne 2 3\ne 1 3\n",
+    "\n  p col 3 3\ne 1 2\ne 2 3\ne 1 3\n",
+])
+def test_dimacs_detected_by_first_token(capsys, tmp_path, text):
+    g = write_text(tmp_path, "k3.txt", text)
+    assert load_graph(g) == complete(3)
+    code, out, _ = run(capsys, "bounds", g)
+    assert code == 0 and "upper 1\n" in out
+
+
+@pytest.mark.parametrize("text", ["#c\n0 1\n", "# p edge 9 9\n0 1\n",
+                                  "\n\n 2 # c\n0 1\n"])
+def test_edge_list_not_taken_for_dimacs(tmp_path, text):
+    assert load_graph(write_text(tmp_path, "k2.txt", text)) == complete(2)
 
 
 def test_verify_realization_without_norm(capsys, tmp_path):

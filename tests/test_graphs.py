@@ -2,10 +2,11 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from planewidth.graphs import (
     Graph, Homomorphism, ParameterError, cartesian, circulant, circle_star,
@@ -252,6 +253,142 @@ def test_edge_list_comments_and_blanks(tmp_path):
         fh.write("# a triangle\nn 3\n\n0 1\n1 2   # trailing\n0 2\n")
     g = read_edge_list(path)
     assert g.n == 3 and g.m == 3
+
+
+def write_and_read(tmp_path, text):
+    path = str(tmp_path / "g.txt")
+    with open(path, "w") as fh:
+        fh.write(text)
+    return read_edge_list(path)
+
+
+@pytest.mark.parametrize("text, lineno, token", [
+    ("0 99999999999999999999\n", 1, "99999999999999999999"),
+    ("n 3\n0 1\n1 -99999999999999999999\n", 3, "-99999999999999999999"),
+    ("2\n0 1  # 99999999999999999999\n\t+9223372036854775808 0\n", 3,
+     "+9223372036854775808"),
+    ("0 1\n-9223372036854775809 1\n", 2, "-9223372036854775809"),
+    ("-9223372036854775808 1\n0 99999999999999999999\n", 2,
+     "99999999999999999999"),
+])
+def test_edge_list_overflowing_endpoint(tmp_path, text, lineno, token):
+    with pytest.raises(ParameterError, match="^line %d: endpoint %s is out of "
+                       "range$" % (lineno, re.escape(token))):
+        write_and_read(tmp_path, text)
+
+
+def test_edge_list_endpoints_at_the_int64_ends(tmp_path):
+    # both ends parse; the graph, not the reader, then rejects them
+    with pytest.raises(ParameterError, match="^vertex count must be"):
+        write_and_read(tmp_path, "0 9223372036854775807\n")
+    with pytest.raises(ParameterError, match=r"^edge \(-9223372036854775808, "
+                       r"1\) out of range for n=2$"):
+        write_and_read(tmp_path, "-9223372036854775808 1\n")
+
+
+@pytest.mark.parametrize("text, n", [
+    ("\n\n", 0), ("# c\n", 0), ("5\n\n", 5), ("n 4\n# x\n", 4), ("", 0),
+])
+def test_edge_list_without_edges(tmp_path, text, n):
+    g = write_and_read(tmp_path, text)
+    assert g.n == n and g.m == 0
+
+
+_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def reference_read(text):
+    """The edge-list grammar read line by line: ``(n, pairs)``, or the number
+    of the first line that breaks the grammar, else of the first endpoint
+    outside int64."""
+    counts, pairs, bad, overflow, first = [], [], None, None, True
+    for lineno, line in enumerate(text.split("\n"), 1):
+        fields = [f for f in line.partition("#")[0].replace("\t", " ").split(" ")
+                  if f]
+        ints = [_INT.fullmatch(f) is not None for f in fields]
+        if not fields:
+            continue
+        if ints == [True] and first:
+            counts.append(int(fields[0]))
+        elif fields[0] == "n" and ints == [False, True]:
+            counts.append(int(fields[1]))
+        elif ints == [True, True]:
+            pairs.append([int(f) for f in fields])
+            if not all(-2 ** 63 <= x < 2 ** 63 for x in pairs[-1]):
+                overflow = overflow or lineno
+        else:
+            bad = bad or lineno
+        first = False
+    if bad or overflow:
+        return bad or overflow
+    n = max(counts, default=0)
+    return (max(n, max(map(max, pairs)) + 1) if pairs else n), pairs
+
+
+def _token(lo=-1, hi=30):
+    return st.builds(lambda v, sign, zeros: ("-" if v < 0 else sign)
+                     + "0" * zeros + str(abs(v)),
+                     st.integers(lo, hi), st.sampled_from(["", "", "+"]),
+                     st.sampled_from([0, 0, 0, 2]))
+
+
+_huge = st.sampled_from(["99999999999999999999", "-99999999999999999999",
+                         "9223372036854775808", "-9223372036854775809",
+                         "9223372036854775807", "-9223372036854775808"])
+_gap = st.sampled_from([" ", "\t", "  ", " \t"])
+_pad = st.sampled_from(["", "", " ", "\t"])
+_comment = st.sampled_from(["", "", "", "#", "# 0 1", "\t# n 3", "#5"])
+_pair_line = st.tuples(_pad, _token(), _gap, _token(), _pad, _comment)
+_good_line = st.one_of(
+    _pair_line, _pair_line, _pair_line,
+    st.tuples(_pad, st.just("n"), _gap, _token(-1, 40), _pad, _comment),
+    st.tuples(_pad),                                               # blank
+    st.tuples(_pad, st.sampled_from(["# c", "#", "#0 1"])),
+).map("".join)
+_odd_line = st.one_of(
+    st.tuples(_pad, _token(-1, 40), _pad, _comment),                # lone count
+    st.tuples(_pad, _token(), _gap, _huge, _comment),               # int64 ends
+    st.tuples(_pad, st.sampled_from(["0 1 2", "x", "0 x", "n", "n 3 4", "1.5 2",
+                                     "0,1", "n5", "0\x0b1", "- 1 2", "+-1 2",
+                                     "c", "p edge 3 2", "1 2 n", "0 1 3 #"])),
+).map("".join)
+
+
+@st.composite
+def _edge_list_text(draw):
+    """Good lines, with up to two lines put in anywhere that may break the
+    grammar: a lone count (legal on the first data line only), an endpoint
+    at or past an end of int64 or a malformed line."""
+    lines = draw(st.lists(_good_line, max_size=8))
+    for line in draw(st.lists(_odd_line, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def test_edge_list_matches_line_by_line_reference(tmp_path):
+    def outcome(read):
+        try:
+            g = read()
+        except ParameterError as exc:
+            return str(exc)
+        return g.n, g.edge_array.tolist()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_edge_list_text())
+    @example("\n\n")
+    @example("# c\n")
+    @example("5\n\n")
+    @example("n 4\n# x\n")
+    def check(text):
+        expected = reference_read(text)
+        if isinstance(expected, int):
+            with pytest.raises(ParameterError, match="^line %d: " % expected):
+                write_and_read(tmp_path, text)
+        else:
+            assert (outcome(lambda: write_and_read(tmp_path, text))
+                    == outcome(lambda: Graph(*expected)))
+
+    check()
 
 
 def test_dimacs_round_trip(tmp_path):
