@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -98,7 +97,7 @@ def cmd_bounds(args):
         circular = (_read_angles(args.angles, g.n), args.chi_c)
     report = bounds_mod.pw_interval(
         g, chi_budget=args.chi_budget, opt_restarts=args.opt_restarts,
-        opt_seed=_seed(args), circular=circular)
+        opt_seed=args.seed, circular=circular)
     if args.json:
         print(json.dumps(report.to_json_dict(), sort_keys=True))
     else:
@@ -108,13 +107,6 @@ def cmd_bounds(args):
         print("lower_provenance %s" % ",".join(report.lower_provenance))
         print("upper_provenance %s" % ",".join(report.upper_provenance))
     return 0
-
-
-def _seed(args):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("PW_SEED")
-    return int(env) if env else 0
 
 
 def cmd_realize(args):
@@ -169,7 +161,7 @@ def cmd_color(args):
 
 def cmd_optimize(args):
     g = load_graph(args.graph)
-    cfg = OptimizeConfig(restarts=args.restarts, seed=_seed(args),
+    cfg = OptimizeConfig(restarts=args.restarts, seed=args.seed,
                          norm=_parse_norm(args.norm))
     res = optimize(g, cfg)
     write_realization(res.realization, args.output)
@@ -262,7 +254,7 @@ def build_parser():
     b.add_argument("--chi-budget", type=float, default=10.0,
                    help=CHI_BUDGET_HELP)
     b.add_argument("--opt-restarts", type=int, default=0)
-    b.add_argument("--seed", type=int, default=None)
+    b.add_argument("--seed", type=int, default=0)
     b.add_argument("--angles")
     b.add_argument("--chi-c", type=float, default=None)
     b.add_argument("--json", action="store_true")
@@ -296,7 +288,7 @@ def build_parser():
 
     o = sub.add_parser("optimize", help="numerically minimize the width")
     o.add_argument("graph")
-    o.add_argument("--seed", type=int, default=None)
+    o.add_argument("--seed", type=int, default=0)
     o.add_argument("--restarts", type=int, default=50)
     o.add_argument("--norm", default="2")
     o.add_argument("-o", "--output", required=True)

@@ -1,8 +1,8 @@
 """Proper colorings plus the exact combinatorial solvers feeding the bounds.
 
 Max clique (over bitset adjacency, as Python ints) and chromatic number are
-branch and bound, deterministic given the vertex order: ties always go to
-the lowest-index vertex and the lowest color.
+branch and bound on explicit stacks, deterministic given the vertex order:
+ties always go to the lowest-index vertex and the lowest color.
 """
 
 from __future__ import annotations
@@ -64,28 +64,23 @@ def write_coloring(c, path):
 # Maximum clique
 
 
-class _Timeout(Exception):
-    pass
-
-
 def max_clique(g, deadline=None):
     """A maximum clique as a sorted vertex list.
 
-    Branch and bound: candidates are greedily colored and the color count
-    bounds the clique extension, pruning subtrees that cannot beat the
-    incumbent.  With a ``deadline`` (a ``time.monotonic()`` value) the clock
-    is read every 1024 expansions, once an incumbent exists, and the search
-    stops past it with the largest clique found so far: a maximal clique,
-    of two or more vertices when g has an edge.
+    Branch and bound on an explicit stack of [candidates, order, bounds]
+    frames: candidates are greedily colored and the color count bounds the
+    clique extension, pruning subtrees that cannot beat the incumbent.  With
+    a ``deadline`` (a ``time.monotonic()`` value) the clock is read every
+    1024 expansions, once an incumbent exists, and the search stops past it
+    with the largest clique found so far: a maximal clique, of two or more
+    vertices when g has an edge.
     """
     adj = [0] * g.n                 # bitset adjacency
     for u, v in g.edge_array.tolist():
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    best = []
-    calls = 0
 
-    def color_sort(cand_mask):
+    def frame(cand_mask):
         # Greedy coloring of the candidate set; returns vertices ordered so
         # that the color number (1-based) is an upper bound on the clique
         # size achievable from that vertex onward.
@@ -101,32 +96,31 @@ def max_clique(g, deadline=None):
                 rest &= ~(1 << v)
                 order.append(v)
                 bounds.append(color)
-        return order, bounds
+        return [cand_mask, order, bounds]
 
-    def expand(clique, cand_mask):
-        nonlocal best, calls
+    best, clique, calls = [], [], 1     # clique[i] spawned stack[i + 1]
+    stack = [frame((1 << g.n) - 1)]
+    while stack:
+        top = stack[-1]
+        cand_mask, order, bounds = top
+        if not order or len(clique) + bounds[-1] <= len(best):
+            stack.pop()
+            del clique[-1:]             # the vertex that spawned it, if any
+            continue
+        v = order.pop()
+        bounds.pop()
+        top[0] = cand_mask & ~(1 << v)
+        sub = cand_mask & adj[v]
+        if not sub:
+            if len(clique) + 1 > len(best):
+                best = clique + [v]
+            continue
         calls += 1
         if (deadline is not None and best and calls % 1024 == 0
                 and time.monotonic() > deadline):
-            raise _Timeout
-        order, bounds = color_sort(cand_mask)
-        for i in range(len(order) - 1, -1, -1):
-            if len(clique) + bounds[i] <= len(best):
-                return
-            v = order[i]
-            clique.append(v)
-            sub = cand_mask & adj[v]
-            if sub:
-                expand(clique, sub)
-            elif len(clique) > len(best):
-                best = list(clique)
-            clique.pop()
-            cand_mask &= ~(1 << v)
-
-    try:
-        expand([], (1 << g.n) - 1)
-    except _Timeout:
-        pass
+            break
+        clique.append(v)
+        stack.append(frame(sub))
     return sorted(best)
 
 
@@ -149,20 +143,8 @@ class ChromaticResult:
 
 
 def greedy_dsatur(g):
-    """DSATUR heuristic coloring; deterministic."""
-    adj = g.adjacency()
-    colors = [-1] * g.n
-    sat = [set() for _ in range(g.n)]
-    for _ in range(g.n):
-        v = max((w for w in range(g.n) if colors[w] < 0),
-                key=lambda w: (len(sat[w]), len(adj[w]), -w))
-        c = 0
-        while c in sat[v]:
-            c += 1
-        colors[v] = c
-        for w in adj[v]:
-            sat[w].add(c)
-    return Coloring(colors)
+    """DSATUR heuristic coloring: the first leaf of the exact search."""
+    return Coloring(_exact_chromatic(g.adjacency(), g.n, math.inf)[0])
 
 
 def _greedy_independent_set(adj):
@@ -187,18 +169,22 @@ def _greedy_independent_set(adj):
     return chosen
 
 
-def _exact_chromatic(adj, lower, upper_coloring, deadline):
-    """DSATUR-ordered branch and bound; may raise _Timeout.
+def _exact_chromatic(adj, lower, deadline):
+    """DSATUR-ordered branch and bound on an explicit stack: (colors, exact).
 
     The next vertex has the most distinct colors among its neighbours, then
-    the highest degree, then the lowest index.  key[v] packs that order into
-    one int, sat[v] * n + rank[v]: sat[v], the number of colors forbidden at
-    v, moves by one (key[v] by n) wherever a bit of forbidden[v] is set or
-    cleared, so no choice counts bits.
+    the highest degree, then the lowest index; it takes the lowest color
+    first, so the first leaf is the DSATUR heuristic coloring.  key[v] packs
+    that order into one int, sat[v] * n + rank[v]: sat[v], the number of
+    colors forbidden at v, moves by one (key[v] by n) wherever a bit of
+    forbidden[v] is set or cleared, so no choice counts bits.
+
+    The search stops at a coloring with at most ``lower`` colors.  Once it
+    has a coloring it reads the clock every 2048 nodes, and past ``deadline``
+    it returns the best coloring found, inexact.
     """
     n = len(adj)
-    best_k = upper_coloring.k
-    best_colors = list(upper_coloring.colors)
+    best_k, best_colors = n + 1, None
     colors = [-1] * n               # read only once every vertex is colored
     # forbidden[v] = bitmask of colors unusable at v
     forbidden = [0] * n
@@ -206,42 +192,47 @@ def _exact_chromatic(adj, lower, upper_coloring, deadline):
     for rank, v in enumerate(sorted(range(n), key=lambda v: (len(adj[v]), -v))):
         key[v] = rank
     uncolored = set(range(n))
-    calls = 0
-
-    def branch(used):
-        nonlocal best_k, best_colors, calls
+    stack = []                      # [v, used before v, limit, color, touched]
+    used = calls = 0                # used: colors used at the node entered
+    while True:
         calls += 1
-        if calls % 2048 == 0 and time.monotonic() > deadline:
-            raise _Timeout
-        if used >= best_k:
-            return
-        if not uncolored:
-            best_k = used
-            best_colors = list(colors)
-            return
-        v = max(uncolored, key=key.__getitem__)
-        uncolored.remove(v)
-        limit = min(used + 1, best_k - 1)
-        for c in range(limit):
-            bit = 1 << c
-            if forbidden[v] & bit:
-                continue
-            colors[v] = c
-            touched = [w for w in adj[v]
-                       if w in uncolored and not forbidden[w] & bit]
-            for w in touched:
-                forbidden[w] |= bit
-                key[w] += n
-            branch(max(used, c + 1))
-            for w in touched:
-                forbidden[w] &= ~bit
-                key[w] -= n
+        if (calls % 2048 == 0 and best_colors is not None
+                and time.monotonic() > deadline):
+            return best_colors, False
+        if used < best_k and not uncolored:
+            best_k, best_colors = used, list(colors)
             if best_k <= lower:
+                return best_colors, True
+        elif used < best_k:
+            v = max(uncolored, key=key.__getitem__)
+            uncolored.remove(v)
+            stack.append([v, used, min(used + 1, best_k - 1), -1, ()])
+        # undo the top frame's color and move it to its next free color,
+        # dropping frames that have none left
+        while stack:
+            top = stack[-1]
+            v, used, limit, c, touched = top
+            for w in touched:
+                forbidden[w] &= ~(1 << c)
+                key[w] -= n
+            c += 1
+            while c < limit and forbidden[v] >> c & 1:
+                c += 1
+            if c < limit:
                 break
-        uncolored.add(v)
-
-    branch(0)
-    return best_k, best_colors
+            uncolored.add(v)
+            stack.pop()
+        else:
+            return best_colors, True
+        bit = 1 << c
+        colors[v] = c
+        touched = [w for w in adj[v]
+                   if w in uncolored and not forbidden[w] & bit]
+        for w in touched:
+            forbidden[w] |= bit
+            key[w] += n
+        top[3:] = c, touched
+        used = max(used, c + 1)
 
 
 def chromatic_number(g, budget=10.0):
@@ -265,8 +256,6 @@ def chromatic_number(g, budget=10.0):
 def _chromatic(g, deadline):
     if g.n == 0:
         return ChromaticResult(0, 0, Coloring(()), True, 0)
-    if g.m == 0:
-        return ChromaticResult(1, 1, Coloring([0] * g.n), True, 1)
 
     # peel universal vertices
     universal = np.bincount(g.edge_array.ravel(), minlength=g.n) == g.n - 1
@@ -287,13 +276,7 @@ def _chromatic(g, deadline):
         # a cut search gives an independent set, not alpha: no bound then
         if time.monotonic() <= deadline:
             lower = max(omega, math.ceil(g.n / alpha))
-    greedy = greedy_dsatur(g)
-    if greedy.k <= lower:
-        return ChromaticResult(greedy.k, greedy.k, greedy, True, omega)
-
-    try:
-        best_k, best_colors = _exact_chromatic(adj, lower, greedy, deadline)
-        return ChromaticResult(best_k, best_k, Coloring(best_colors), True,
-                               omega)
-    except _Timeout:
-        return ChromaticResult(lower, greedy.k, greedy, False, omega)
+    colors, exact = _exact_chromatic(adj, lower, deadline)
+    best = Coloring(colors)
+    return ChromaticResult(best.k if exact else lower, best.k, best, exact,
+                           omega)

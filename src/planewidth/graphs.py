@@ -344,6 +344,14 @@ _LONE_COUNT = re.compile(r"(?:[ \t]*(?:#.*)?\n)*[ \t]*([+-]?\d+)[ \t]*(?:#.*)?$"
 _COUNT = re.compile(r"\n[ \t]*n[ \t]+([+-]?\d+)", re.A)
 
 
+def _bounded_int(tok):
+    """A signed run of digits as an int, or as +-2**64 past 19 significant
+    digits, so no token meets Python's limit on int conversion length."""
+    digits = tok.lstrip("+-").lstrip("0")
+    value = int(digits or 0) if len(digits) <= 19 else 1 << 64
+    return -value if tok[0] == "-" else value
+
+
 def read_edge_list(path):
     """Read an edge list: ``n <count>`` and ``<u> <v>`` lines, ``#`` comments.
 
@@ -371,7 +379,7 @@ def read_edge_list(path):
     if "#" in body:
         body = re.sub("#.*", "", body)
     parts = _COUNT.split("\n" + body)
-    count = max(map(int, counts + parts[1::2]), default=0)
+    count = max(map(_bounded_int, counts + parts[1::2]), default=0)
     body = " ".join(parts[::2])
     if not body or body.isspace():
         return Graph(count)
@@ -380,8 +388,7 @@ def read_edge_list(path):
     if top == np.iinfo(np.intp).max:    # fromstring saturates on overflow
         for pair in re.finditer(r"(?m)^[ \t]*([+-]?\d+)[ \t]+([+-]?\d+)", text):
             for tok in pair.groups():
-                digits = tok.lstrip("+-").lstrip("0")
-                if len(digits) > 19 or int(digits or 0) > top + (tok[0] == "-"):
+                if not -top - 1 <= _bounded_int(tok) <= top:
                     lineno = text.count("\n", 0, pair.start()) + 1
                     raise ParameterError("line %d: endpoint %s is out of "
                                          "range" % (lineno, tok))
@@ -395,19 +402,22 @@ def write_dimacs(g, path):
 
 
 def read_dimacs(path):
+    """Read DIMACS: ``p <format> <n> <m>`` and ``e <u> <v>`` lines, vertices
+    numbered from 1, ``c`` comment lines and blank lines; any other line is
+    an error that names its line."""
     n = 0
     pairs = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
-            tok = line.split()
-            if not tok or tok[0] not in ("p", "e"):
-                continue
+            tok = line.split() or ["c"]     # a blank line is a comment
             try:
-                if tok[0] == "p":
-                    n = int(tok[2])
-                else:
+                if tok[0] == "p" and len(tok) == 4:
+                    n, _ = int(tok[2]), int(tok[3])
+                elif tok[0] == "e" and len(tok) == 3:
                     pairs.append((int(tok[1]) - 1, int(tok[2]) - 1))
-            except (IndexError, ValueError):
+                elif tok[0] != "c":
+                    raise ValueError
+            except ValueError:
                 raise ParameterError(
                     "line %d: expected 'p edge <n> <m>' or 'e <u> <v>', got %r"
                     % (lineno, " ".join(tok))) from None

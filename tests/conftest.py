@@ -15,6 +15,19 @@ def random_graph(rng, n, p=0.5):
     return Graph(n, frozenset((u, v) for u, v in edges))
 
 
+#: chi 3 on 11 vertices, while greedy DSATUR uses 4 colors
+CHI3_GREEDY4_EDGES = [(0, 1), (0, 2), (0, 6), (1, 4), (1, 8), (1, 9), (2, 6),
+                      (2, 7), (3, 4), (3, 5), (3, 7), (4, 7), (4, 8), (5, 7),
+                      (6, 7), (7, 9), (7, 10), (8, 9), (8, 10)]
+
+
+def chi3_copies(k):
+    """k disjoint copies of the CHI3_GREEDY4_EDGES graph: an exact coloring
+    search on them goes one level deeper for each of the 11 * k vertices."""
+    return Graph(11 * k, [(u + 11 * i, v + 11 * i) for i in range(k)
+                          for u, v in CHI3_GREEDY4_EDGES])
+
+
 def random_connected_graph(rng, n, p=0.5):
     """Random graph forced connected by adding a random spanning path."""
     g = random_graph(rng, n, p)

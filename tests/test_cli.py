@@ -9,9 +9,11 @@ import pytest
 
 from planewidth.cli import load_graph, main
 from planewidth.coloring import Coloring, check_proper
-from planewidth.graphs import complete
+from planewidth.graphs import complete, write_edge_list
 from planewidth.realization import Realization, read_realization, \
     write_realization
+
+from conftest import chi3_copies
 
 
 def run(capsys, *argv):
@@ -193,18 +195,17 @@ def test_bounds_circular_short_edge_exit_2(capsys, tmp_path):
     assert "(0, 10)" in err
 
 
-def test_optimize_verb_and_pw_seed(capsys, tmp_path, monkeypatch):
+def test_optimize_verb_same_seed_same_output(capsys, tmp_path):
     g = gen_graph(capsys, tmp_path, "odd-wheel", 5)
     rpath = str(tmp_path / "w.json")
-    monkeypatch.setenv("PW_SEED", "3")
-    code, out, _ = run(capsys, "optimize", g, "--restarts", "4", "-o", rpath)
-    assert code == 0
-    w1 = out
-    code, out, _ = run(capsys, "optimize", g, "--restarts", "4", "-o", rpath)
-    assert out == w1                     # same env seed, same result
-    monkeypatch.setenv("PW_SEED", "99")
-    code, out99, _ = run(capsys, "optimize", g, "--restarts", "4", "-o", rpath)
-    assert code == 0
+    argv = ["optimize", g, "--restarts", "4", "--seed", "3", "-o", rpath]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.startswith("width ")
+    with open(rpath) as fh:
+        first = fh.read()
+    assert run(capsys, *argv) == (0, out, "")
+    with open(rpath) as fh:
+        assert fh.read() == first
 
 
 def test_plot_svg(capsys, tmp_path):
@@ -313,11 +314,47 @@ def test_bounds_angles_file_errors(capsys, tmp_path, angles, fragments):
 @pytest.mark.parametrize("text, fragment", [
     ("p edge\ne 1 2\n", "line 1"),
     ("p edge 2 1\ne 1\n", "line 2"),
+    # only blank, c, p <format> <n> <m> and e <u> <v> lines are DIMACS
+    ("p edge 3 2\ne 1 2\nx 2 3\n", "line 3"),
+    ("p edge 3 2\ne 1 2 3\n", "line 2"),
+    ("p edge 3\ne 1 2\n", "line 1"),
+    ("p edge 3 x\ne 1 2\n", "line 1"),
+    ("c ok\ncomment\np edge 3 1\ne 1 2\n", "line 2"),
+    ("p edge 3 2\n\n1 2\n", "line 3"),
 ])
 def test_dimacs_short_line(capsys, tmp_path, text, fragment):
     g = write_text(tmp_path, "bad.col", text)
     assert_input_error(run(capsys, "bounds", g), fragment,
                        "expected 'p edge <n> <m>' or 'e <u> <v>'")
+
+
+def test_edge_list_read_as_dimacs_names_its_first_edge(capsys, tmp_path):
+    # the first token c routes the file to the DIMACS reader
+    g = write_text(tmp_path, "g.txt", "c x\n0 1\n1 2\n")
+    assert_input_error(run(capsys, "realize", g, "--method", "coloring",
+                           "-o", str(tmp_path / "r.json")), "line 2", "'0 1'")
+    assert not os.path.exists(str(tmp_path / "r.json"))
+
+
+@pytest.mark.parametrize("text", [
+    "n 3037000500\n0 1\n",
+    "n %s\n0 1\n" % ("9" * 5000),
+    "%s\n0 1\n" % ("9" * 5000),
+    "n -%s\n" % ("9" * 5000),
+], ids=["n-3037000500", "n-5000-digits", "lone-5000-digits", "n-negative"])
+def test_edge_list_count_out_of_range_exit_1(capsys, tmp_path, text):
+    g = write_text(tmp_path, "big.txt", text)
+    assert_input_error(run(capsys, "bounds", g),
+                       "vertex count must be an integer in 0..3037000499")
+
+
+def test_bounds_on_a_deep_graph(capsys, tmp_path):
+    # 1,210 vertices, chi 3: the coloring search goes 1,210 levels deep
+    path = str(tmp_path / "deep.txt")
+    write_edge_list(chi3_copies(110), path)
+    code, out, err = run(capsys, "bounds", path)
+    assert code == 0 and err == ""
+    assert "upper 1\n" in out
 
 
 @pytest.mark.parametrize("family, params, fragment", [

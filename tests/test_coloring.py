@@ -18,10 +18,11 @@ from planewidth.coloring import (
 )
 from planewidth.graphs import (
     Graph, ParameterError, circulant, circle_star, complement, complete, cycle,
-    generate, graph_from_edges, groetzsch, join, odd_wheel, petersen,
+    disjoint_union, generate, graph_from_edges, groetzsch, join, odd_wheel,
+    petersen,
 )
 
-from conftest import random_graph
+from conftest import chi3_copies, random_graph
 
 
 def test_coloring_value_checks():
@@ -100,6 +101,63 @@ def test_greedy_dsatur_proper():
         c = greedy_dsatur(g)
         assert check_proper(g, c) is None
     assert greedy_dsatur(graph_from_edges(0, [])) == Coloring(())
+
+
+def _reference_greedy_dsatur(g):
+    """DSATUR as a loop over Python sets: the uncolored vertex with the
+    most distinct neighbour colors, then the highest degree, then the lowest
+    index, takes the lowest color not among its neighbours'."""
+    adj = g.adjacency()
+    colors = [-1] * g.n
+    sat = [set() for _ in range(g.n)]
+    for _ in range(g.n):
+        v = max((w for w in range(g.n) if colors[w] < 0),
+                key=lambda w: (len(sat[w]), len(adj[w]), -w))
+        c = 0
+        while c in sat[v]:
+            c += 1
+        colors[v] = c
+        for w in adj[v]:
+            sat[w].add(c)
+    return tuple(colors)
+
+
+def test_greedy_dsatur_matches_reference_loop():
+    rng = np.random.default_rng(1979)
+    graphs = [random_graph(rng, int(rng.integers(0, 50)),
+                           float(rng.uniform(0.0, 1.0))) for _ in range(150)]
+    graphs += [chi3_copies(3), petersen(), groetzsch(), circulant(25, 4)]
+    for g in graphs:
+        assert greedy_dsatur(g).colors == _reference_greedy_dsatur(g), g
+
+
+def test_deep_coloring_search_does_not_recurse():
+    # 1,210 vertices: one search level per vertex, past Python's default
+    # recursion limit of 1,000 frames
+    g = chi3_copies(110)
+    assert greedy_dsatur(g).k == 4
+    res = chromatic_number(g)
+    assert (res.lower, res.upper, res.exact, res.omega) == (3, 3, True, 3)
+    assert check_proper(g, res.coloring) is None
+
+
+def test_deep_clique_search_does_not_recurse():
+    q = max_clique(disjoint_union(complete(1000), complete(2)))
+    assert q == list(range(1000))
+
+
+def test_zero_budget_keeps_the_best_coloring_found():
+    # a cut search returns its best coloring so far, never worse than the
+    # first leaf, which is the greedy coloring
+    rng = np.random.default_rng(2048)
+    graphs = [random_graph(rng, int(rng.integers(1, 70)),
+                           float(rng.uniform(0.05, 0.95))) for _ in range(40)]
+    graphs += [chi3_copies(110), chi3_copies(1)]
+    for g in graphs:
+        res = chromatic_number(g, budget=0.0)
+        assert check_proper(g, res.coloring) is None
+        assert res.coloring.k == res.upper <= greedy_dsatur(g).k, g
+        assert res.lower <= res.upper
 
 
 def test_chromatic_small_exact():

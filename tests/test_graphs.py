@@ -288,6 +288,7 @@ def test_edge_list_endpoints_at_the_int64_ends(tmp_path):
 
 @pytest.mark.parametrize("text, n", [
     ("\n\n", 0), ("# c\n", 0), ("5\n\n", 5), ("n 4\n# x\n", 4), ("", 0),
+    pytest.param("n %s3\n" % ("0" * 5000), 3, id="5000-leading-zeros"),
 ])
 def test_edge_list_without_edges(tmp_path, text, n):
     g = write_and_read(tmp_path, text)

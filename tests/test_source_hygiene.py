@@ -53,6 +53,55 @@ def unread_locals(tree):
     return sorted(found)
 
 
+def unread_imports(tree):
+    """(line, name) for each name a module-level import binds that nothing
+    in the module reads; a name listed in ``__all__`` counts as read, and
+    ``__future__`` imports are exempt."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names = [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [a.asname or a.name for a in node.names]
+        else:
+            continue
+        for name in names:
+            bound.setdefault(name, node.lineno)
+    reads = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                              ast.Store)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            reads.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in reads)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    problems = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        problems += ["%s:%d imports %r" % (path.name, line, name)
+                     for line, name in unread_imports(tree)]
+    assert problems == []
+
+
+def test_unread_imports_sees_only_unread_names():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path as osp\n"
+        "import sys, json\n"
+        "from math import pi, tau\n"
+        "from .x import Y\n"
+        "__all__ = ['Y']\n"
+        "def f():\n"
+        "    return sys.argv, osp, pi\n")
+    assert unread_imports(tree) == [(2, "os"), (4, "json"), (5, "tau")]
+
+
 def test_no_function_assigns_a_name_it_never_reads():
     problems = []
     for path in sorted(SRC.glob("*.py")):
