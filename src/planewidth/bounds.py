@@ -2,8 +2,8 @@
 
 Lower bounds come from edges, clique containment, chromatic thresholds and
 tiling inversion; upper bounds are always witnessed by an explicit verified
-realization (coloring target, optimizer output, composition construction,
-circular placement, or a user-supplied arrangement).
+realization (coloring target, optimizer output, circular placement, or a
+user-supplied arrangement).
 """
 
 from __future__ import annotations
@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 from .coloring import chromatic_number
 from .geometry import SQRT3, diameter
-from .graphs import ParameterError, compose
+from .graphs import ParameterError
 from .optimizer import OptimizeConfig, optimize
 from .partition import SCHEME_THRESHOLD, tiling_color_cap
 from .realization import COMPLETE_WIDTH, Realization, evaluate, from_circular, \
-    from_coloring, join_realization, lattice_complete_arrangement, \
-    product_realization, union_realization
+    from_coloring
 
 LATTICE_RATIO = math.sqrt(2.0 * SQRT3 / math.pi)    # asymptotic width/sqrt(n)
 
@@ -55,24 +54,12 @@ def kn_lower(n):
     return max(COMPLETE_WIDTH[8], LATTICE_RATIO * math.sqrt(n) - 1.0)
 
 
-def kn_upper(n):
-    """Constructive upper bound: the table value, else the lattice packing."""
-    if n < 2:
-        raise ParameterError("need n >= 2")
-    if n <= 8:
-        return COMPLETE_WIDTH[n]
-    w, _ = diameter(lattice_complete_arrangement(n).coords)
-    return w
-
-
 def lower_bound(g, chrom):
     """(value, strict, provenance tags) from all lower-bound mechanisms.
 
     chrom is a ChromaticResult; only its lower and omega fields are used, so
     a timed-out solver degrades the bound instead of breaking it.
     """
-    if g.m == 0:
-        raise ParameterError("bounds need at least one edge")
     chi_lo, omega = chrom.lower, chrom.omega
     candidates = [(1.0, False, "edge")]
     candidates.append((kn_lower(omega), False,
@@ -140,28 +127,3 @@ def pw_interval(g, chi_budget=10.0, opt_restarts=0, opt_seed=0,
         res = optimize(g, OptimizeConfig(restarts=opt_restarts, seed=opt_seed))
         entries.append((res.width, res.realization, "optimizer"))
     return _assemble(g, chrom, entries)
-
-
-def compose_report(kind, g, h, report_g, report_h):
-    """Combine part reports into a report for join/cartesian/disjoint-union.
-
-    The composed witness realization comes from the matching construction;
-    the coloring mechanism on the composite can still beat it, so callers
-    wanting the absolute best interval should run pw_interval on the
-    composite graph as well.
-    """
-    constructions = {"join": (join_realization, "join"),
-                     "cartesian": (product_realization, "product"),
-                     "disjoint-union": (union_realization, "union")}
-    if kind not in constructions:
-        raise ParameterError("unknown composition %r" % kind)
-    build, tag = constructions[kind]
-    comp = compose(kind, g, h)
-    r = build(g, h, report_g.upper_witness, report_h.upper_witness)
-    ev = evaluate(comp, r)
-    if not ev.valid:
-        raise InternalConsistencyError("composed witness failed verification")
-    chrom = chromatic_number(comp)
-    rc = from_coloring(comp, chrom.coloring)
-    return _assemble(comp, chrom, [(ev.width, r, tag),
-                                   (evaluate(comp, rc).width, rc, "coloring")])

@@ -185,23 +185,6 @@ def circle_star(n, eps):
     return join(Graph(len(pts), chords), complete(1))
 
 
-def circle_star_min_n(eps):
-    """Smallest n in 2..10**6 with (2+eps) sin(n*pi/(6n+1)) >= 1."""
-    if not 0 < eps < math.inf:
-        raise ParameterError("eps must be positive and finite")
-
-    def short(n):
-        return (2.0 + eps) * math.sin(n * math.pi / (6 * n + 1)) < 1.0
-
-    # the left side increases with n, so if n = 10**6 fails every n does
-    if short(10 ** 6):
-        raise ParameterError("no feasible n for eps=%g" % eps)
-    n = 2
-    while short(n):
-        n += 1
-    return n
-
-
 def petersen():
     outer = [(i, (i + 1) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
@@ -247,78 +230,6 @@ def complement(g):
     u, v = g.edge_array.T
     absent = ~np.isin(iu * g.n + ju, u * g.n + v)
     return Graph(g.n, np.stack([iu[absent], ju[absent]], axis=1))
-
-
-def compose(kind, g, h=None):
-    if kind == "complement":
-        return complement(g)
-    if h is None:
-        raise ParameterError("operator %r needs two graphs" % kind)
-    ops = {"join": join, "cartesian": cartesian, "disjoint-union": disjoint_union}
-    if kind not in ops:
-        raise ParameterError("unknown composition %r" % kind)
-    return ops[kind](g, h)
-
-
-def double_subdivide(g, e):
-    """Replace edge uv by a path u-x-y-v through two new vertices."""
-    u, v = min(e), max(e)
-    hit = (g.edge_array == (u, v)).all(axis=1)
-    if not hit.any():
-        raise ParameterError("%r is not an edge" % (e,))
-    x, y = g.n, g.n + 1
-    return Graph(g.n + 2, np.vstack([g.edge_array[~hit],
-                                     [(u, x), (x, y), (y, v)]]))
-
-
-def reduce_four_cycle_pairs(g):
-    """Delete adjacent degree-2 vertex pairs that lie on a four-cycle.
-
-    Such a pair is the inverse of a double edge subdivision with the original
-    edge restored, so repeated removal keeps the plane-width unchanged.
-    Vertices are relabeled densely after each removal.
-    """
-    while True:
-        adj = g.adjacency()
-        for x, y in g.edge_array.tolist():
-            if len(adj[x]) != 2 or len(adj[y]) != 2:
-                continue
-            u = (adj[x] - {y}).pop()
-            v = (adj[y] - {x}).pop()
-            if u != v and v in adj[u]:    # u-x-y-v-u is a four-cycle
-                keep = np.ones(g.n, dtype=bool)
-                keep[[x, y]] = False
-                g = induced_subgraph(g, keep)
-                break
-        else:
-            return g
-
-
-# ---------------------------------------------------------------------------
-# Homomorphisms
-
-
-@dataclass(frozen=True)
-class Homomorphism:
-    source: Graph
-    target: Graph
-    map: tuple
-
-    def __post_init__(self):
-        if len(self.map) != self.source.n:
-            raise ParameterError("map must cover every source vertex")
-        for img in self.map:
-            if not (0 <= img < self.target.n):
-                raise ParameterError("image vertex %r out of range" % (img,))
-        object.__setattr__(self, "map", tuple(self.map))
-
-
-def verify_homomorphism(phi):
-    """True iff every source edge maps to a target edge."""
-    img = np.asarray(phi.map, dtype=np.intp)[phi.source.edge_array]
-    lo, hi = img.min(axis=1), img.max(axis=1)      # a loop lo == hi never hits
-    u, v = phi.target.edge_array.T
-    return bool(np.isin(lo * phi.target.n + hi, u * phi.target.n + v).all())
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 from .coloring import require_proper
 from .geometry import INF, L2, LINE, LINF, SQRT3, NormSpec, diameter, \
     edge_lengths, pal_hexagon
-from .graphs import CertificateError, ParameterError, verify_homomorphism
+from .graphs import CertificateError, ParameterError
 
 SQRT2 = math.sqrt(2.0)
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -231,14 +231,25 @@ def from_circular(g, angles, chi_c):
     return placed
 
 
-def pullback(phi, r_target):
-    """Compose a homomorphism with a realization of its target."""
-    if not verify_homomorphism(phi):
-        raise CertificateError("map is not a homomorphism")
-    if r_target.n != phi.target.n:
+def pullback(g, h, phi, r_h):
+    """Realize g through a homomorphism phi: g -> h and a realization r_h.
+
+    phi gives one vertex of h for each vertex of g, and vertex v lands on the
+    point of phi[v]; each edge of g must map to an edge of h.
+    """
+    phi = np.asarray(phi)
+    if (phi.shape != (g.n,) or phi.size and phi.dtype.kind not in "iu"
+            or ((phi < 0) | (phi >= h.n)).any()):
+        raise ParameterError("map must send each vertex of g to a vertex of h")
+    if r_h.n != h.n:
         raise ParameterError("realization does not match target graph")
-    return Realization(r_target.coords[np.asarray(phi.map, dtype=np.intp)],
-                       r_target.norm)
+    phi = phi.astype(np.intp)
+    img = phi[g.edge_array]
+    lo, hi = img.min(axis=1), img.max(axis=1)      # a loop lo == hi never hits
+    u, v = h.edge_array.T
+    if not np.isin(lo * h.n + hi, u * h.n + v).all():
+        raise CertificateError("map is not a homomorphism")
+    return Realization(r_h.coords[phi], r_h.norm)
 
 
 # ---------------------------------------------------------------------------

@@ -7,17 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planewidth import bounds as bounds_mod, realization as realization_mod
-from planewidth.bounds import (
-    LATTICE_RATIO, BoundReport, compose_report, kn_lower, kn_upper,
-    pw_interval,
-)
+from planewidth.bounds import LATTICE_RATIO, kn_lower, pw_interval
 from planewidth.coloring import chromatic_number
+from planewidth.geometry import diameter
 from planewidth.graphs import (
-    ParameterError, circulant, circle_star, complement, complete, compose,
-    cycle, double_subdivide, graph_from_edges, groetzsch, odd_wheel, petersen,
+    Graph, ParameterError, cartesian, circulant, circle_star, complement,
+    complete, cycle, graph_from_edges, groetzsch, join, odd_wheel, petersen,
 )
 from planewidth.realization import (
-    Realization, evaluate, known_complete_arrangement, union_realization,
+    COMPLETE_WIDTH, Realization, evaluate, join_realization,
+    lattice_complete_arrangement, product_realization, union_realization,
 )
 from planewidth.graphs import circle_star_points, disjoint_union
 
@@ -49,13 +48,18 @@ def test_kn_lower_nondecreasing():
         prev = cur
 
 
+def _lattice_width(n):
+    return diameter(lattice_complete_arrangement(n).coords)[0]
+
+
 def test_kn_bounds_sandwich():
-    for n in (2, 5, 8, 12, 30, 100):
-        assert kn_lower(n) <= kn_upper(n) + 1e-9
-    assert kn_upper(7) == 2.0
+    for n in (2, 5, 7, 8):
+        assert kn_lower(n) == COMPLETE_WIDTH[n]
+    for n in (12, 30, 100):
+        assert kn_lower(n) <= _lattice_width(n) + 1e-9
     # construction tracks the asymptote with a bounded additive constant
     for n in (50, 120, 200):
-        assert kn_upper(n) <= LATTICE_RATIO * math.sqrt(n) + C_MEASURED
+        assert _lattice_width(n) <= LATTICE_RATIO * math.sqrt(n) + C_MEASURED
 
 
 def test_interval_k5_tight():
@@ -153,6 +157,11 @@ def test_invalid_witness_rejected():
         pw_interval(g, witness=bad)
 
 
+def test_edgeless_graph_rejected():
+    with pytest.raises(ParameterError, match="bounds need at least one edge"):
+        pw_interval(graph_from_edges(3, []))
+
+
 def test_report_json_keys():
     rep = pw_interval(complete(4))
     obj = rep.to_json_dict()
@@ -169,36 +178,53 @@ def test_chi_timeout_degrades():
     assert "chi-timeout" in rep.lower_provenance
 
 
+#: composition -> (graph operator, construction from the parts' witnesses)
+COMPOSITIONS = {"join": (join, join_realization),
+                "cartesian": (cartesian, product_realization),
+                "disjoint-union": (disjoint_union, union_realization)}
+
+
+def _composed(kind, g, h, rep_g, rep_h):
+    """(composite graph, its interval, width of the composed witness).
+
+    The witness the construction builds from the parts' witnesses must be
+    valid on the composite and no narrower than its certified lower bound.
+    """
+    op, build = COMPOSITIONS[kind]
+    comp = op(g, h)
+    ev = evaluate(comp, build(g, h, rep_g.upper_witness, rep_h.upper_witness))
+    rep = pw_interval(comp)
+    assert ev.valid and rep.lower <= ev.width
+    return comp, rep, ev.width
+
+
 def test_compose_union_c5():
     c5 = cycle(5)
     rep5 = pw_interval(c5)
-    rep = compose_report("disjoint-union", c5, c5, rep5, rep5)
+    _, rep, width = _composed("disjoint-union", c5, c5, rep5, rep5)
     assert rep.lower == pytest.approx(1.0, abs=1e-12)
-    assert rep.upper <= 2 / SQRT3 + 1e-9
     # the union construction itself achieves the hexagon-overlay cap
-    ru = union_realization(c5, c5, rep5.upper_witness, rep5.upper_witness)
-    wu = evaluate(disjoint_union(c5, c5), ru).width
-    assert wu <= max(1.0, 1.0, 2 / SQRT3) + 1e-9
+    assert width <= max(1.0, 1.0, 2 / SQRT3) + 1e-9
 
 
 def test_compose_join_and_product():
     k2 = complete(2)
     rep2 = pw_interval(k2)
-    repj = compose_report("join", k2, k2, rep2, rep2)
+    _, repj, width = _composed("join", k2, k2, rep2, rep2)
     # join(K2, K2) is K4, whose coloring bound sqrt(2) beats the chain bound
-    assert repj.upper <= SQRT2 + 1e-9
+    assert min(repj.upper, width) <= SQRT2 + 1e-9
     assert repj.lower == pytest.approx(SQRT2, abs=1e-12)
-    repp = compose_report("cartesian", k2, k2, rep2, rep2)
-    assert repp.upper <= 1.0 + 1e-9          # C4 is bipartite
-    with pytest.raises(ParameterError):
-        compose_report("nope", k2, k2, rep2, rep2)
+    _, repp, width = _composed("cartesian", k2, k2, rep2, rep2)
+    assert min(repp.upper, width) <= 1.0 + 1e-9     # C4 is bipartite
 
 
 def test_subdivision_sandwich():
     corpus = [complete(4), complete(5), odd_wheel(5), petersen()]
     for g in corpus:
-        e = g.sorted_edges()[0]
-        gp = double_subdivide(g, e)
+        # replace the first edge uv by a path u-x-y-v through two new vertices
+        (u, v), x, y = g.edge_array[0], g.n, g.n + 1
+        gp = Graph(g.n + 2, np.vstack([g.edge_array[1:],
+                                       [(u, x), (x, y), (y, v)]]))
         rep = pw_interval(g)
         repp = pw_interval(gp)
         assert repp.upper <= rep.upper + 1e-9
@@ -259,10 +285,8 @@ def _small_graphs(draw):
 @given(_small_graphs(), _small_graphs())
 def test_lower_at_most_upper(g, h):
     rep_g, rep_h = pw_interval(g), pw_interval(h)
-    kinds = ("join", "cartesian", "disjoint-union")
     reports = [(g, rep_g), (h, rep_h)] + [
-        (compose(kind, g, h), compose_report(kind, g, h, rep_g, rep_h))
-        for kind in kinds]
+        _composed(kind, g, h, rep_g, rep_h)[:2] for kind in COMPOSITIONS]
     for graph, rep in reports:
         assert rep.lower <= rep.upper
         ev = evaluate(graph, rep.upper_witness)

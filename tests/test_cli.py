@@ -263,6 +263,9 @@ def test_edge_list_bare_count_and_bad_line(capsys, tmp_path):
     assert code == 0 and "upper 1" in out
     bad = write_text(tmp_path, "bad.txt", "3\n0 1\n1 two\n")
     assert_input_error(run(capsys, "bounds", bad), "line 3")
+    edgeless = write_text(tmp_path, "e3.txt", "3\n")
+    assert_input_error(run(capsys, "bounds", edgeless),
+                       "bounds need at least one edge")
 
 
 @pytest.mark.parametrize("text, line", [

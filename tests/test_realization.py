@@ -13,8 +13,8 @@ from planewidth.coloring import Coloring, ImproperColoringError, \
 from planewidth.geometry import INF, L2, LINE, LINF, NormSpec, diameter, \
     distance, edge_lengths
 from planewidth.graphs import (
-    Homomorphism, ParameterError, cartesian, circulant, complete, cycle,
-    disjoint_union, double_subdivide, graph_from_edges, join, odd_wheel,
+    Graph, ParameterError, cartesian, circulant, complete, cycle,
+    disjoint_union, graph_from_edges, groetzsch, join, odd_wheel, petersen,
 )
 from planewidth.realization import (
     COMPLETE_WIDTH, CertificateError, Evaluation, Realization, evaluate,
@@ -354,24 +354,38 @@ def test_from_circular_short_chord_within_old_slack():
 def test_pullback():
     g = complete(4)
     r = square_realization()
-    ident = Homomorphism(g, g, tuple(range(4)))
-    assert pullback(ident, r).points == r.points
-    # doubly subdivided edge pulled back through x -> v, y -> u
-    gp = double_subdivide(g, (0, 1))
-    phi = Homomorphism(gp, g, (0, 1, 2, 3, 1, 0))
-    rp = pullback(phi, r)
+    assert pullback(g, g, list(range(4)), r).points == r.points
+    # the edge (0, 1) doubly subdivided as 0-x-y-1, pulled back through
+    # x -> 1, y -> 0
+    gp = Graph(6, g.edge_array[1:].tolist() + [(0, 4), (4, 5), (5, 1)])
+    rp = pullback(gp, g, (0, 1, 2, 3, 1, 0), r)
     ev = evaluate(gp, rp)
     assert ev.valid
     assert ev.width <= math.sqrt(2) + 1e-12
 
 
+def test_pullback_of_a_coloring_is_from_coloring():
+    """A proper k-coloring is a homomorphism to K_k, and pulling back the
+    K_k arrangement places each vertex as ``from_coloring`` does."""
+    for g in (cycle(5), petersen(), groetzsch(), odd_wheel(5)):
+        c = chromatic_number(g).coloring
+        assert 2 <= c.k <= 8
+        r = pullback(g, complete(c.k), c.colors,
+                     known_complete_arrangement(c.k))
+        assert np.array_equal(r.coords, from_coloring(g, c).coords)
+
+
 def test_pullback_rejects_bad_map():
     g = complete(3)
-    phi = Homomorphism(g, g, (0, 0, 1))   # collapses the edge (0, 1)
-    with pytest.raises(CertificateError):
-        pullback(phi, known_complete_arrangement(3))
-    with pytest.raises(ParameterError):
-        Homomorphism(g, g, (0, 1, 9))
+    r = known_complete_arrangement(3)
+    for phi in [(0, 0, 1), (2, 2, 2)]:    # each collapses an edge
+        with pytest.raises(CertificateError, match="not a homomorphism"):
+            pullback(g, g, phi, r)
+    for phi in [(0, 1), (0, 1, 3), (0, 1, -1), (0, 1, 1.5)]:
+        with pytest.raises(ParameterError, match="map must send"):
+            pullback(g, g, phi, r)
+    with pytest.raises(ParameterError, match="does not match"):
+        pullback(g, g, (0, 1, 2), known_complete_arrangement(4))
 
 
 def test_join_realization_examples():

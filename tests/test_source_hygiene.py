@@ -2,8 +2,10 @@
 
 import ast
 import pathlib
+import re
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "planewidth"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "planewidth"
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
@@ -53,6 +55,17 @@ def unread_locals(tree):
     return sorted(found)
 
 
+def _listed_in_all(tree):
+    """The names a module-level ``__all__ = [...]`` lists."""
+    names = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
 def unread_imports(tree):
     """(line, name) for each name a module-level import binds that nothing
     in the module reads; a name listed in ``__all__`` counts as read, and
@@ -70,13 +83,78 @@ def unread_imports(tree):
     reads = {node.id for node in ast.walk(tree)
              if isinstance(node, ast.Name) and not isinstance(node.ctx,
                                                               ast.Store)}
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__"
-                        for t in node.targets)):
-            reads.update(ast.literal_eval(node.value))
+    reads |= _listed_in_all(tree)
     return sorted((line, name) for name, line in bound.items()
                   if name not in reads)
+
+
+def unreached_names(trees, bench_text):
+    """(module, line, name) for each top-level ``def`` or ``class`` that
+    nothing reads.  A read is a ``Name`` load or an ``Attribute`` attr in any
+    of ``trees`` (module -> tree) outside the definition's own body, a word
+    in ``bench_text``, or a listing in an ``__all__``."""
+    def reads(top):
+        return {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(top)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                                 ast.Store)
+                or isinstance(node, ast.Attribute)}
+
+    defs, outside = [], set()
+    for module, tree in trees.items():
+        outside |= _listed_in_all(tree)
+        for node in tree.body:
+            if isinstance(node, _SCOPES):
+                defs.append((module, node, reads(node)))
+            else:
+                outside |= reads(node)
+    words = set(re.findall(r"\w+", bench_text))
+    return sorted((module, node.lineno, node.name)
+                  for module, node, _ in defs
+                  if node.name not in outside and node.name not in words
+                  and not any(node.name in other for _, d, other in defs
+                              if d is not node))
+
+
+def test_every_top_level_name_has_a_reader():
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    bench_text = "\n".join(path.read_text()
+                           for path in sorted((ROOT / "bench").glob("*.py")))
+    problems = ["%s.py:%d %r is read by nothing outside the tests"
+                % entry for entry in unreached_names(trees, bench_text)]
+    assert problems == []
+
+
+def test_unreached_names_sees_only_unread_definitions():
+    trees = {
+        "a": ast.parse(
+            "def used():\n"
+            "    return 1\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1)\n"
+            "class Kept:\n"
+            "    pass\n"
+            "def benched():\n"
+            "    pass\n"
+            "def bench():\n"
+            "    pass\n"
+            "def exported():\n"
+            "    pass\n"
+            "def stored():\n"
+            "    pass\n"),
+        "b": ast.parse(
+            "import a\n"
+            "from a import used, stored\n"
+            "__all__ = ['exported', 'f']\n"
+            "stored = None\n"
+            "def f():\n"
+            "    return used() + a.Kept\n"),
+    }
+    # a read inside its own body does not count, nor does a store, nor a
+    # word that only contains the name
+    assert unreached_names(trees, "run(benched)") == [
+        ("a", 3, "recursive"), ("a", 9, "bench"), ("a", 13, "stored")]
 
 
 def test_no_module_imports_a_name_it_never_reads():
