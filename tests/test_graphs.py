@@ -9,11 +9,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from planewidth.graphs import (
-    Graph, ParameterError, cartesian, circulant, circle_star,
+    CertificateError, Graph, ParameterError, cartesian, circulant, circle_star,
     circle_star_points, complement, complete, cycle, disjoint_union, generate,
     graph_from_edges, join, odd_wheel, petersen, read_dimacs, read_edge_list,
     write_dimacs, write_edge_list,
 )
+from planewidth.realization import known_complete_arrangement, pullback
 
 from conftest import random_graph
 
@@ -140,6 +141,29 @@ def test_disjoint_union_offsets():
     assert (0, 1) in u.edges and (3, 4) in u.edges
     assert (2, 3) not in u.edges
 
+
+
+def test_double_subdivide_edge_count_and_homomorphism():
+    g = complete(4)
+    u, v = e = (0, 1)
+    # e doubly subdivided as u-x-y-v, with x = 4 and y = 5
+    gp = Graph(6, (g.edges - {e}) | {(u, 4), (4, 5), (5, v)})
+    assert gp.m == g.m + 2
+    # x -> v, y -> u collapses the subdivision back onto the original edge
+    r = pullback(gp, g, list(range(g.n)) + [v, u],
+                 known_complete_arrangement(4))
+    assert r.n == gp.n
+    assert r.points[4] == r.points[v] and r.points[5] == r.points[u]
+
+
+def test_homomorphism_basics():
+    g = complete(4)
+    r = known_complete_arrangement(4)
+    assert pullback(g, g, tuple(range(4)), r).points == r.points
+    with pytest.raises(CertificateError, match="not a homomorphism"):
+        pullback(g, g, (0, 0, 0, 0), r)
+    with pytest.raises(ParameterError, match="map must send"):
+        pullback(g, g, (0, 1, 2, 9), r)
 
 def test_generate_specs():
     assert generate(("complete", 5)).m == 10
