@@ -11,19 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coloring import chromatic_number
+from .coloring import CHI_BUDGET, chromatic_number
 from .geometry import SQRT3, diameter
-from .graphs import ParameterError
+from .graphs import InternalConsistencyError, ParameterError
 from .optimizer import OptimizeConfig, optimize
 from .partition import SCHEME_THRESHOLD, tiling_color_cap
 from .realization import COMPLETE_WIDTH, Realization, evaluate, from_circular, \
     from_coloring
 
 LATTICE_RATIO = math.sqrt(2.0 * SQRT3 / math.pi)    # asymptotic width/sqrt(n)
-
-
-class InternalConsistencyError(AssertionError):
-    """Lower bound exceeded upper bound: a bug certificate, never clamped."""
 
 
 @dataclass(frozen=True)
@@ -101,7 +97,7 @@ def _assemble(g, chrom, entries):
     return BoundReport(lo, strict, lo_tags, up, up_witness, up_tags)
 
 
-def pw_interval(g, chi_budget=10.0, opt_restarts=0, opt_seed=0,
+def pw_interval(g, chi_budget=CHI_BUDGET, opt_restarts=0, opt_seed=0,
                 circular=None, witness=None):
     """Assemble a certified [lower, upper] plane-width interval.
 

@@ -15,11 +15,11 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import graphs as graphs_mod
-from .coloring import chromatic_number, write_coloring
+from .coloring import CHI_BUDGET, chromatic_number, write_coloring
 from .geometry import INF, NormSpec
 from .graphs import CertificateError, ParameterError
 from .optimizer import OptimizeConfig, optimize
-from .partition import extract_coloring, tiling_coloring
+from .partition import SCHEME_THRESHOLD, extract_coloring, tiling_coloring
 from .realization import Realization, _fmt, evaluate, from_circular, \
     from_coloring, known_complete_arrangement, lattice_complete_arrangement, \
     low_dim_realization, read_realization, write_realization
@@ -251,7 +251,7 @@ def build_parser():
 
     b = sub.add_parser("bounds", help="certified width interval")
     b.add_argument("graph")
-    b.add_argument("--chi-budget", type=float, default=10.0,
+    b.add_argument("--chi-budget", type=float, default=CHI_BUDGET,
                    help=CHI_BUDGET_HELP)
     b.add_argument("--opt-restarts", type=int, default=0)
     b.add_argument("--seed", type=int, default=0)
@@ -267,7 +267,7 @@ def build_parser():
                             "line", "linf-grid"])
     r.add_argument("--angles")
     r.add_argument("--chi-c", type=float, default=None)
-    r.add_argument("--chi-budget", type=float, default=10.0,
+    r.add_argument("--chi-budget", type=float, default=CHI_BUDGET,
                    help=CHI_BUDGET_HELP)
     r.add_argument("-o", "--output", required=True)
     r.set_defaults(func=cmd_realize)
@@ -282,7 +282,8 @@ def build_parser():
     c = sub.add_parser("color", help="extract a proper coloring")
     c.add_argument("graph")
     c.add_argument("--from", dest="source", required=True)
-    c.add_argument("--scheme", required=True, choices=["3", "4", "7", "tiling"])
+    c.add_argument("--scheme", required=True,
+                   choices=[*map(str, SCHEME_THRESHOLD), "tiling"])
     c.add_argument("-o", "--output", required=True)
     c.set_defaults(func=cmd_color)
 
@@ -311,7 +312,7 @@ def main(argv=None):
     except (OSError, ValueError) as exc:        # ParameterError included
         print("error: %s" % exc, file=sys.stderr)
         return 2 if isinstance(exc, CertificateError) else 1
-    except bounds_mod.InternalConsistencyError as exc:
+    except graphs_mod.InternalConsistencyError as exc:
         print("internal consistency error: %s" % exc, file=sys.stderr)
         return 3
 

@@ -16,6 +16,8 @@ import numpy as np
 from .graphs import CertificateError, ParameterError, complement, \
     induced_subgraph
 
+CHI_BUDGET = 10.0       # default seconds for one whole chromatic solve
+
 
 class ImproperColoringError(CertificateError):
     """Carries a monochromatic edge as a certificate."""
@@ -235,7 +237,7 @@ def _exact_chromatic(adj, lower, deadline):
         used = max(used, c + 1)
 
 
-def chromatic_number(g, budget=10.0):
+def chromatic_number(g, budget=CHI_BUDGET):
     """Exact chromatic number within a time budget.
 
     The budget bounds the whole solve: the clique, independence-number and

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ParameterError
+from .graphs import InternalConsistencyError, ParameterError
 
 INF = float("inf")
 SQRT3 = math.sqrt(3.0)
@@ -55,11 +55,6 @@ def lp_lengths(diff, p):
     return lengths
 
 
-def _as_points(pts):
-    pts = np.asarray(pts, dtype=float)
-    return pts[:, None] if pts.ndim == 1 else pts
-
-
 def distance(a, b, norm=L2):
     diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
     return float(lp_lengths(np.atleast_1d(diff), norm.p))
@@ -72,7 +67,7 @@ def edge_lengths(pts, edges, norm=L2):
     bit for bit.  For p not in {1, 2, inf} the final root is numpy's array
     ``power``; a scalar ``pow`` of the same sum may differ from it by 1 ulp.
     """
-    pts = _as_points(pts)
+    pts = np.asarray(pts, dtype=float)
     return lp_lengths(pts[edges[:, 0]] - pts[edges[:, 1]], norm.p)
 
 
@@ -128,12 +123,10 @@ def _diameter_calipers(pts):
 
 def diameter(pts, norm=L2):
     """Max pairwise distance and one achieving index pair."""
-    pts = _as_points(pts)
+    pts = np.asarray(pts, dtype=float)
     n = len(pts)
     if n == 0:
         raise ParameterError("diameter of empty set")
-    if n == 1:
-        return 0.0, (0, 0)
     if norm.p == 2.0 and pts.shape[1] == 2 and n > 64:
         return _diameter_calipers(pts)
     dm = lp_lengths(pts[:, None, :] - pts[None, :, :], norm.p)
@@ -214,7 +207,7 @@ def pal_hexagon(pts):
     found by bisecting the slab-offset mismatch on [0, 60deg], then the width
     is enlarged by any residual containment defect (at most ~1e-12).
     """
-    pts = _as_points(pts)
+    pts = np.asarray(pts, dtype=float)
     if len(pts) == 0:
         raise ParameterError("empty point set")
     width, _ = diameter(pts)
@@ -259,5 +252,5 @@ def pal_hexagon(pts):
     if defect > 0:
         hexagon = Hexagon(hexagon.center, theta, width + 2.0 * defect + 1e-15)
         if hexagon.width > width + max(1e-9, 2.0 * defect + 1e-12):
-            raise AssertionError("hexagon enclosure failed to certify")
+            raise InternalConsistencyError("hexagon enclosure failed to certify")
     return hexagon

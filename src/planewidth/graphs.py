@@ -29,6 +29,10 @@ class CertificateError(ValueError):
         super().__init__(message)
 
 
+class InternalConsistencyError(AssertionError):
+    """A proven invariant failed, such as lower <= upper: a bug, not input."""
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """A graph on the vertices 0..n-1.
@@ -163,10 +167,13 @@ def circle_star_points(n, eps):
     n = _count(n, "circle-star n")
     if n < 2 or not 0 < eps < math.inf:
         raise ParameterError("circle-star requires n >= 2 and finite eps > 0")
-    p = 6 * n + 1
-    r = (2.0 + eps) / 2.0
-    return [(r * math.cos(2 * math.pi * i / p), r * math.sin(2 * math.pi * i / p))
-            for i in range(p)]
+    return circle_points(6 * n + 1, (2.0 + eps) / 2.0)
+
+
+def circle_points(k, radius):
+    """k equidistant points on a circle about the origin, from the +x axis."""
+    return [(radius * math.cos(2.0 * math.pi * i / k),
+             radius * math.sin(2.0 * math.pi * i / k)) for i in range(k)]
 
 
 def circle_star(n, eps):

@@ -16,11 +16,12 @@ import numpy as np
 
 from .coloring import greedy_dsatur
 from .geometry import INF, L2, NormSpec, lp_lengths
-from .graphs import CertificateError, ParameterError
+from .graphs import CertificateError, InternalConsistencyError, ParameterError
 from .realization import COMPLETE_WIDTH, Realization, evaluate, feasibilize
 
 _TIE_EPS = 1e-12        # distance floor so gradients stay finite at ties
 _STAGES = 8             # annealing stages, geometric in sharpness and penalty
+_STAGE_ITERS = 250      # descent iterations per stage and restart, at most
 _BETAS = np.geomspace(10.0, 1000.0, _STAGES)
 _MUS = np.geomspace(1.0, 1e6, _STAGES)
 _TOL = 1e-10            # a stage stops once a step gains less than this
@@ -31,16 +32,12 @@ _LADDER = 3             # halvings tried per objective call; divides _HALVINGS
 @dataclass(frozen=True)
 class OptimizeConfig:
     restarts: int = 50
-    max_iters: int = 2000
     seed: int = 0
     norm: NormSpec = L2
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ParameterError("restarts must be >= 1")
-        if self.max_iters < _STAGES:
-            raise ParameterError("max_iters must be >= %d, one per annealing "
-                                 "stage" % _STAGES)
 
 
 @dataclass(frozen=True)
@@ -166,13 +163,12 @@ def optimize(g, cfg=None):
     p = 64.0 if cfg.norm.p == INF else cfg.norm.p
     chi_greedy = greedy_dsatur(g).k
     box = 1.0 + math.sqrt(chi_greedy)
-    per_stage = cfg.max_iters // _STAGES
 
     x = np.stack([np.random.default_rng(cfg.seed + restart).uniform(
         0.0, box, size=(g.n, cfg.norm.dim)) for restart in range(cfg.restarts)])
     iters = np.zeros(cfg.restarts, dtype=int)
     for beta, mu in zip(_BETAS, _MUS):
-        x, used = _descend(x, edge_index, pairs, beta, mu, p, per_stage)
+        x, used = _descend(x, edge_index, pairs, beta, mu, p, _STAGE_ITERS)
         iters += used
 
     best = None
@@ -181,13 +177,13 @@ def optimize(g, cfg=None):
             r = feasibilize(g, Realization(x[restart], cfg.norm))
         except CertificateError:
             continue
-        ev = evaluate(g, r, tol=1e-9)
+        ev = evaluate(g, r)
         if not ev.valid:
             continue
         if best is None or ev.width < best.width:
             best = OptimizeResult(r, ev.width, restart, int(iters[restart]))
     if best is None:
-        raise AssertionError("no restart produced a certified witness")
+        raise InternalConsistencyError("no restart produced a certified witness")
     return best
 
 
@@ -195,7 +191,7 @@ def optimize(g, cfg=None):
 # Grid-search oracle
 
 
-def brute_force(g, resolution, d_max=None, max_n=4):
+def brute_force(g, resolution):
     """Exhaustive grid minimization of width for tiny graphs.
 
     Vertex 0 is pinned at the origin and vertex 1 to the nonnegative x axis;
@@ -204,16 +200,12 @@ def brute_force(g, resolution, d_max=None, max_n=4):
     the result is the exact grid minimum (within O(resolution * n) of the
     true optimum).
     """
-    if max_n > 5:
-        raise ParameterError("hard cap for the oracle is 5 vertices")
-    if g.n > max_n:
-        raise ParameterError(
-            "oracle refuses n=%d (cap %d): grid search is exponential"
-            % (g.n, max_n))
+    if g.n > 4:
+        raise ParameterError("oracle refuses n=%d (cap 4): grid search is "
+                             "exponential" % g.n)
     if g.m == 0 or resolution <= 0:
         raise ParameterError("need at least one edge and positive resolution")
-    if d_max is None:
-        d_max = 1.0 + COMPLETE_WIDTH[greedy_dsatur(g).k]    # k <= n <= 5
+    d_max = 1.0 + COMPLETE_WIDTH[greedy_dsatur(g).k]    # k <= n <= 4
 
     adj = g.adjacency()
     steps = int(math.floor(d_max / resolution + 1e-9))
@@ -275,5 +267,5 @@ def brute_force(g, resolution, d_max=None, max_n=4):
     col0 = lengths(xs, ys, (0.0, 0.0))
     place(1, [(0.0, 0.0)], xs, ys, [col0], col0, 0.0, True)
     if best_points is None:
-        raise AssertionError("oracle found no feasible grid placement")
+        raise InternalConsistencyError("oracle found no feasible grid placement")
     return best_width, Realization(best_points, L2)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .coloring import Coloring
 from .geometry import L2, SQRT3, _hex_directions, diameter, pal_hexagon
-from .graphs import CertificateError, ParameterError
+from .graphs import CertificateError, InternalConsistencyError, ParameterError
 from .realization import evaluate
 
 #: intra-piece diameter guarantee per scheme, at unit input diameter
@@ -22,6 +22,8 @@ SCHEME_DELTA = {3: SQRT3 / 2.0, 4: math.sqrt(2.0) / 2.0, 7: 0.5}
 
 #: maximum realization width each scheme can turn into a proper coloring
 SCHEME_THRESHOLD = {3: 2.0 / SQRT3, 4: math.sqrt(2.0), 7: 2.0}
+_BAD_SCHEME = "scheme must be %s or %d" % (
+    ", ".join(map(str, sorted(SCHEME_THRESHOLD)[:-1])), max(SCHEME_THRESHOLD))
 
 
 def partition_unit(points, scheme):
@@ -31,17 +33,13 @@ def partition_unit(points, scheme):
     label are closer than the scheme's guarantee.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(1, 2)
     if scheme not in SCHEME_DELTA:
-        raise ParameterError("scheme must be 3, 4 or 7")
+        raise ParameterError(_BAD_SCHEME)
     if len(pts) == 0:
         return []
     d, _ = diameter(pts, L2)
     if d > 1.0 + 1e-9:
         raise CertificateError("diameter %.12g exceeds 1" % d)
-    if len(pts) == 1:
-        return [0]
     split = {3: _hex_sectors, 4: _square_quadrants, 7: _hex_core_rim}[scheme]
     return split(pts).tolist()
 
@@ -76,7 +74,7 @@ def _square_quadrants(pts):
     corners = np.array([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
     taken = (np.abs(local[:, None] - corners) <= eps).all(axis=2).any(axis=0)
     if taken.all():
-        raise AssertionError("no point-free corner on a unit-diameter set")
+        raise InternalConsistencyError("no point-free corner on a unit-diameter set")
     # reflect so the free corner becomes (0, 0)
     local = np.where(corners[np.argmin(taken)] == 1.0, 1.0 - local, local)
 
@@ -94,8 +92,8 @@ def _square_quadrants(pts):
     members = inside & ~near.any(axis=2)
     missed = np.flatnonzero(~members.any(axis=1))
     if len(missed):
-        raise AssertionError("quadrant assignment missed (%g, %g)"
-                             % tuple(local[missed[0]]))
+        raise InternalConsistencyError("quadrant assignment missed (%g, %g)"
+                                       % tuple(local[missed[0]]))
     return members.argmax(axis=1)
 
 
@@ -157,7 +155,7 @@ def extract_coloring(g, r, scheme):
     threshold, so no edge can be monochromatic.
     """
     if scheme not in SCHEME_THRESHOLD:
-        raise ParameterError("scheme must be 3, 4 or 7")
+        raise ParameterError(_BAD_SCHEME)
     thr = SCHEME_THRESHOLD[scheme]
     ev = evaluate(g, r)
     if not ev.valid:

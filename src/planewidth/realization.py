@@ -16,7 +16,8 @@ import numpy as np
 from .coloring import require_proper
 from .geometry import INF, L2, LINE, LINF, SQRT3, NormSpec, diameter, \
     edge_lengths, pal_hexagon
-from .graphs import CertificateError, ParameterError
+from .graphs import CertificateError, InternalConsistencyError, \
+    ParameterError, circle_points
 
 SQRT2 = math.sqrt(2.0)
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -94,10 +95,8 @@ def evaluate(g, r, tol=1e-9):
         return Evaluation(0.0, math.inf, True)
     arr = r.coords
     width, _ = diameter(arr, r.norm)
-    if g.m == 0:
-        return Evaluation(width, math.inf, True)
     d = edge_lengths(arr, g.edge_array, r.norm)
-    min_d = float(d.min())
+    min_d = float(d.min(initial=math.inf))
     if min_d < 1.0 - tol:
         # the first violating edge in sorted order
         u, v = g.edge_array[int(np.argmax(d < 1.0 - tol))]
@@ -143,20 +142,15 @@ def known_complete_arrangement(n):
         pts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
     elif n == 5:
         r = 1.0 / (2.0 * math.sin(math.pi / 5.0))       # unit-side pentagon
-        pts = _regular(5, r)
+        pts = circle_points(5, r)
     elif n == 6:
-        pts = _regular(5, 1.0) + [(0.0, 0.0)]           # circumradius-1 pentagon
+        pts = circle_points(5, 1.0) + [(0.0, 0.0)]      # circumradius-1 pentagon
     elif n == 7:
-        pts = _regular(6, 1.0) + [(0.0, 0.0)]           # unit-side hexagon
+        pts = circle_points(6, 1.0) + [(0.0, 0.0)]      # unit-side hexagon
     else:
         r = 1.0 / (2.0 * math.sin(math.pi / 7.0))       # unit-side heptagon
-        pts = _regular(7, r) + [(0.0, 0.0)]
+        pts = circle_points(7, r) + [(0.0, 0.0)]
     return Realization(pts, L2)
-
-
-def _regular(k, radius):
-    return [(radius * math.cos(2.0 * math.pi * i / k),
-             radius * math.sin(2.0 * math.pi * i / k)) for i in range(k)]
 
 
 def lattice_complete_arrangement(n):
@@ -186,7 +180,7 @@ def lattice_complete_arrangement(n):
     order = np.lexsort((np.vectorize(math.atan2)(y, x), d))
     order = order[d[order] <= radius]
     if len(order) < n:
-        raise AssertionError("lattice candidate pool too small")
+        raise InternalConsistencyError("lattice candidate pool too small")
     return Realization(np.stack([x, y], axis=1)[order[:n]], L2)
 
 
@@ -195,9 +189,7 @@ def lattice_complete_arrangement(n):
 
 
 def color_class_targets(k):
-    """Arrangement the k color classes map onto, as a (k, 2) array."""
-    if k <= 0:
-        raise ParameterError("k must be positive")
+    """Arrangement the k >= 1 color classes map onto, as a (k, 2) array."""
     if k <= 8:
         return known_complete_arrangement(max(k, 2)).coords[:k]
     return lattice_complete_arrangement(k).coords
@@ -272,8 +264,6 @@ def join_realization(g, h, r_g, r_h):
 def _aligned(r):
     """Rotate/translate so one diametral point a sits at the origin, b on -x."""
     arr = r.coords
-    if r.n == 1:
-        return arr - arr[0]
     _, (i, j) = diameter(arr, r.norm)
     a, d = arr[i], arr[j] - arr[i]
     norm = math.hypot(d[0], d[1])

@@ -200,7 +200,7 @@ def test_criterion_06_partition_properties():
 def test_criterion_07_tiling_coloring():
     t0 = time.time()
     rng = np.random.default_rng(7000)
-    cfg = OptimizeConfig(restarts=2, max_iters=400, seed=7)
+    cfg = OptimizeConfig(restarts=2, seed=7)
     ok = tiling_color_cap(2) == 19 and tiling_parameter(2.0) == 2
     done = 0
     while done < 50:

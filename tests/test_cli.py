@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from planewidth import bounds
 from planewidth.cli import load_graph, main
 from planewidth.coloring import Coloring, check_proper
 from planewidth.graphs import complete, write_edge_list
@@ -255,6 +256,16 @@ def assert_input_error(result, *fragments):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     for fragment in fragments:
         assert fragment in err
+
+
+def test_interval_inversion_exits_3(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(bounds, "lower_bound",
+                        lambda g, chrom: (5.0, False, ("edge",)))
+    g = write_text(tmp_path, "k3.txt", "n 3\n0 1\n1 2\n0 2\n")
+    code, out, err = run(capsys, "bounds", g)
+    assert code == 3 and out == ""
+    assert err == ("internal consistency error: interval inversion: "
+                   "lower 5 > upper 1\n")
 
 
 def test_edge_list_bare_count_and_bad_line(capsys, tmp_path):

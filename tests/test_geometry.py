@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from planewidth.geometry import (
-    INF, L2, LINF, NormSpec, convex_hull, diameter, distance, pal_hexagon,
+    INF, L2, LINE, LINF, NormSpec, convex_hull, diameter, distance,
+    pal_hexagon,
 )
 from planewidth.graphs import ParameterError
 
@@ -51,6 +52,13 @@ def test_diameter_examples():
     assert w == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-12)
     w, _ = diameter(np.array([[0.3, 0.7]]))
     assert w == 0.0
+
+
+@pytest.mark.parametrize("norm", [LINF, LINE, NormSpec(3.0, 2)],
+                         ids=["linf", "line", "l3"])
+def test_diameter_of_one_point(norm):
+    # the pairwise path, with no special case for n = 1; warnings are errors
+    assert diameter(np.full((1, norm.dim), 0.3), norm) == (0.0, (0, 0))
 
 
 def test_diameter_linf():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from planewidth import optimizer
+from planewidth.coloring import greedy_dsatur
 from planewidth.geometry import LINF, lp_lengths
 from planewidth.graphs import (
     ParameterError, complete, cycle, graph_from_edges, odd_wheel,
@@ -19,16 +20,12 @@ from conftest import random_graph
 
 
 def small_cfg(restarts=6, seed=0):
-    return OptimizeConfig(restarts=restarts, max_iters=800, seed=seed)
+    return OptimizeConfig(restarts=restarts, seed=seed)
 
 
 def test_config_validation():
     with pytest.raises(ParameterError):
         OptimizeConfig(restarts=0)
-    for max_iters in (-1, 0, 7):        # fewer than one per annealing stage
-        with pytest.raises(ParameterError):
-            OptimizeConfig(max_iters=max_iters)
-    assert OptimizeConfig(max_iters=8).max_iters == 8
 
 
 def test_optimize_k2_exact():
@@ -208,9 +205,9 @@ def test_brute_force_k3_coarse():
 
 def test_brute_force_refusals():
     with pytest.raises(ParameterError):
-        brute_force(complete(6), 0.1, max_n=5)
+        brute_force(complete(6), 0.1)
     with pytest.raises(ParameterError):
-        brute_force(complete(5), 0.1)          # default cap is 4
+        brute_force(complete(5), 0.1)          # the cap is 4
     with pytest.raises(ParameterError):
         brute_force(complete(3), -0.5)
 
@@ -266,8 +263,8 @@ def _grid_minimum(g, resolution, d_max):
     complete(4),
 ], ids=["K2", "K3", "P3", "P3-0-not-1", "C4", "K4-e", "K4"])
 def test_oracle_matches_enumeration(g, resolution):
-    d_max = 2.0
-    w, r = brute_force(g, resolution, d_max=d_max)
+    d_max = 1.0 + COMPLETE_WIDTH[greedy_dsatur(g).k]     # the oracle's grid
+    w, r = brute_force(g, resolution)
     assert w == _grid_minimum(g, resolution, d_max)
     assert evaluate(g, r, tol=1e-12).width == w
     # vertex 0 at the origin, vertex 1 on the nonnegative x axis

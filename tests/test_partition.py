@@ -54,8 +54,7 @@ def test_partition_triangle_scheme3():
 
 def test_partition_single_point():
     for scheme in (3, 4, 7):
-        labels = partition_unit(np.array([[0.2, -0.1]]), scheme)
-        assert len(labels) == 1
+        assert partition_unit(np.array([[0.2, -0.1]]), scheme) == [0]
 
 
 def test_partition_rejects_wide_input():

@@ -69,6 +69,7 @@ def test_evaluate_edgeless():
     g = graph_from_edges(2, [])
     ev = evaluate(g, Realization(((0.0, 0.0), (0.25, 0.0))))
     assert ev.valid and ev.width == 0.25
+    assert ev.min_edge_distance == math.inf and ev.violating_edge is None
 
 
 def reference_evaluate(g, r, tol):

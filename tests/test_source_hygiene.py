@@ -180,6 +180,43 @@ def test_unread_imports_sees_only_unread_names():
     assert unread_imports(tree) == [(2, "os"), (4, "json"), (5, "tau")]
 
 
+def bare_assertion_raises(tree):
+    """Lines that raise ``AssertionError`` itself, called or not."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_bare_assertion_error_raised():
+    # internal faults raise InternalConsistencyError, which the CLI turns
+    # into one line and exit code 3; a bare AssertionError gives a traceback
+    problems = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        problems += ["%s:%d raises AssertionError" % (path.name, line)
+                     for line in bare_assertion_raises(tree)]
+    assert problems == []
+
+
+def test_bare_assertion_raises_sees_only_assertion_error():
+    tree = ast.parse(
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise AssertionError('bad')\n"
+        "    if not x:\n"
+        "        raise AssertionError\n"
+        "    try:\n"
+        "        raise InternalConsistencyError('bad')\n"
+        "    except ValueError:\n"
+        "        raise\n"
+        "    raise AssertionErrorLike()\n")
+    assert bare_assertion_raises(tree) == [3, 5]
+
+
 def test_no_function_assigns_a_name_it_never_reads():
     problems = []
     for path in sorted(SRC.glob("*.py")):
