@@ -50,7 +50,7 @@ def kn_lower(n):
     return max(COMPLETE_WIDTH[8], LATTICE_RATIO * math.sqrt(n) - 1.0)
 
 
-def lower_bound(g, chrom):
+def lower_bound(chrom):
     """(value, strict, provenance tags) from all lower-bound mechanisms.
 
     chrom is a ChromaticResult; only its lower and omega fields are used, so
@@ -78,32 +78,14 @@ def lower_bound(g, chrom):
     return value, strict, tags
 
 
-def _assemble(g, chrom, entries):
-    """BoundReport from the lower bounds and the witnessed upper entries.
-
-    entries: (width, realization, tag) triples.  The least width wins (the
-    earlier entry on an exact tie); entries within 1e-12 of it share the tags.
-    """
-    lo, strict, lo_tags = lower_bound(g, chrom)
-    if not chrom.exact:
-        lo_tags = lo_tags + ("chi-timeout",)
-    entries = sorted(entries, key=lambda e: e[0])
-    up, up_witness, _ = entries[0]
-    up_tags = tuple(dict.fromkeys(tag for w, _, tag in entries
-                                  if w <= up + 1e-12))
-    if lo > up + 1e-9:
-        raise InternalConsistencyError(
-            "interval inversion: lower %.12g > upper %.12g" % (lo, up))
-    return BoundReport(lo, strict, lo_tags, up, up_witness, up_tags)
-
-
 def pw_interval(g, chi_budget=CHI_BUDGET, opt_restarts=0, opt_seed=0,
                 circular=None, witness=None):
     """Assemble a certified [lower, upper] plane-width interval.
 
-    The upper bound is the least width over the witnessed mechanisms.
-    circular: optional (angles, chi_c) pair; witness: optional externally
-    supplied realization, verified before use.
+    The upper bound is the least width over the witnessed mechanisms (the
+    earlier one on an exact tie); mechanisms within 1e-12 of it share the
+    tags.  circular: optional (angles, chi_c) pair; witness: optional
+    externally supplied realization, verified before use.
     """
     if g.m == 0:
         raise ParameterError("bounds need at least one edge")
@@ -122,4 +104,14 @@ def pw_interval(g, chi_budget=CHI_BUDGET, opt_restarts=0, opt_seed=0,
     if opt_restarts > 0:
         res = optimize(g, OptimizeConfig(restarts=opt_restarts, seed=opt_seed))
         entries.append((res.width, res.realization, "optimizer"))
-    return _assemble(g, chrom, entries)
+    lo, strict, lo_tags = lower_bound(chrom)
+    if not chrom.exact:
+        lo_tags = lo_tags + ("chi-timeout",)
+    entries = sorted(entries, key=lambda e: e[0])
+    up, up_witness, _ = entries[0]
+    up_tags = tuple(dict.fromkeys(tag for w, _, tag in entries
+                                  if w <= up + 1e-12))
+    if lo > up + 1e-9:
+        raise InternalConsistencyError(
+            "interval inversion: lower %.12g > upper %.12g" % (lo, up))
+    return BoundReport(lo, strict, lo_tags, up, up_witness, up_tags)

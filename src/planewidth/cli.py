@@ -116,16 +116,14 @@ def cmd_realize(args):
         r = known_complete_arrangement(g.n)
     elif method == "lattice":
         r = lattice_complete_arrangement(g.n)
-    elif method == "coloring":
-        chrom = chromatic_number(g, budget=args.chi_budget)
-        r = from_coloring(g, chrom.coloring)
-    elif method in ("line", "linf-grid"):
-        chrom = chromatic_number(g, budget=args.chi_budget)
-        r = low_dim_realization(g, chrom.coloring, method)
-    else:                                       # "circular"
+    elif method == "circular":
         if not args.angles or args.chi_c is None:
             raise ParameterError("circular method needs --angles and --chi-c")
         r = from_circular(g, _read_angles(args.angles, g.n), args.chi_c)
+    else:                                       # coloring, line, linf-grid
+        c = chromatic_number(g, budget=args.chi_budget).coloring
+        r = (from_coloring(g, c) if method == "coloring"
+             else low_dim_realization(g, c, method))
     write_realization(r, args.output)
     ev = evaluate(g, r)
     print("width %s" % _fmt(ev.width))

@@ -41,8 +41,6 @@ def lp_lengths(diff, p):
     d = np.abs(diff)
     if p == INF:
         return d.max(axis=-1)
-    if p == 1.0:
-        return d.sum(axis=-1)
     s = (d ** p).sum(axis=-1)
     lengths = np.power(s, 1.0 / p)
     low = s < np.finfo(float).tiny
@@ -53,6 +51,17 @@ def lp_lengths(diff, p):
             ((d / np.where(m > 0.0, m, 1.0)) ** p).sum(axis=-1), 1.0 / p)
         lengths = np.where(low, scaled, lengths)
     return lengths
+
+
+def _points(pts, dim=2):
+    """``pts`` as a float (k, dim) array; a flat one is a ParameterError."""
+    arr = np.asarray(pts, dtype=float)
+    if arr.shape == (0,):                   # an empty list: no points
+        arr = arr.reshape(0, dim)
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise ParameterError("points must form a (k, %d) array, got shape %r"
+                             % (dim, arr.shape))
+    return arr
 
 
 def distance(a, b, norm=L2):
@@ -67,13 +76,13 @@ def edge_lengths(pts, edges, norm=L2):
     bit for bit.  For p not in {1, 2, inf} the final root is numpy's array
     ``power``; a scalar ``pow`` of the same sum may differ from it by 1 ulp.
     """
-    pts = np.asarray(pts, dtype=float)
+    pts = _points(pts, norm.dim)
     return lp_lengths(pts[edges[:, 0]] - pts[edges[:, 1]], norm.p)
 
 
 def convex_hull(pts):
-    """Andrew's monotone chain; returns hull vertex indices in ccw order."""
-    pts = np.asarray(pts, dtype=float)
+    """Andrew's monotone chain over an (n, 2) array; returns hull vertex
+    indices in ccw order."""
     order = np.lexsort((pts[:, 1], pts[:, 0]))
 
     def cross(o, a, b):
@@ -101,7 +110,7 @@ def _diameter_calipers(pts):
         return 0.0, (hull[0], hull[0])
     if h == 2:
         return distance(pts[hull[0]], pts[hull[1]]), (hull[0], hull[1])
-    hp = np.asarray(pts, dtype=float)[hull]
+    hp = pts[hull]
     best, pair = -1.0, (hull[0], hull[0])
     j = 1
     for i in range(h):
@@ -123,7 +132,7 @@ def _diameter_calipers(pts):
 
 def diameter(pts, norm=L2):
     """Max pairwise distance and one achieving index pair."""
-    pts = np.asarray(pts, dtype=float)
+    pts = _points(pts, norm.dim)
     n = len(pts)
     if n == 0:
         raise ParameterError("diameter of empty set")
@@ -205,38 +214,32 @@ def pal_hexagon(pts):
 
     Existence is guaranteed for every bounded plane set; the orientation is
     found by bisecting the slab-offset mismatch on [0, 60deg], then the width
-    is enlarged by any residual containment defect (at most ~1e-12).
+    is enlarged by any residual containment defect.  That defect is rounding,
+    a few ulps of the coordinates; a larger one is an InternalConsistencyError.
     """
-    pts = np.asarray(pts, dtype=float)
+    pts = _points(pts)
     if len(pts) == 0:
         raise ParameterError("empty point set")
     width, _ = diameter(pts)
     if width == 0.0:
         return Hexagon((float(pts[0, 0]), float(pts[0, 1])), 0.0, 0.0)
 
+    # probe 0, then 60deg, then midpoints: f(0) and f(60deg) have opposite
+    # signs by the 60-degree antisymmetry, so f(0)'s sign steers the halving
     a, b = 0.0, math.pi / 3.0
-    fa = _mismatch(pts, a, width)
-    if fa == 0.0:
-        theta = a
-    else:
-        fb = _mismatch(pts, b, width)
-        if fb == 0.0:
-            theta = b
-        else:
-            # fa and fb have opposite signs by the 60-degree antisymmetry
-            for _ in range(200):
-                mid = 0.5 * (a + b)
-                fm = _mismatch(pts, mid, width)
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if (fm > 0) == (fa > 0):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-                if b - a < 1e-14:
-                    break
-            theta = 0.5 * (a + b)
+    theta, up = a, None
+    while True:
+        f = _mismatch(pts, theta, width)
+        if f == 0.0:
+            break
+        if up is None:
+            theta, up = b, f > 0
+            continue
+        if theta < b:                       # a midpoint halves [a, b]
+            a, b = (theta, b) if (f > 0) == up else (a, theta)
+        theta = 0.5 * (a + b)
+        if b - a < 1e-14:
+            break
 
     lo, hi, normals = _slab_intervals(pts, theta, width)
     # choose center projections: s = t0 + t2 must meet I1 (t1 = s)
@@ -250,7 +253,9 @@ def pal_hexagon(pts):
     hexagon = Hexagon((float(c[0]), float(c[1])), theta, width)
     defect = hexagon.containment_defect(pts)
     if defect > 0:
+        if defect > 1e-12 * max(width, float(np.abs(pts).max())):
+            raise InternalConsistencyError(
+                "hexagon enclosure failed to certify: defect %.3g at width "
+                "%.12g" % (defect, width))
         hexagon = Hexagon(hexagon.center, theta, width + 2.0 * defect + 1e-15)
-        if hexagon.width > width + max(1e-9, 2.0 * defect + 1e-12):
-            raise InternalConsistencyError("hexagon enclosure failed to certify")
     return hexagon

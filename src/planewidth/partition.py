@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from .coloring import Coloring
-from .geometry import L2, SQRT3, _hex_directions, diameter, pal_hexagon
+from .geometry import L2, SQRT3, _hex_directions, _points, diameter, \
+    pal_hexagon
 from .graphs import CertificateError, InternalConsistencyError, ParameterError
 from .realization import evaluate
 
@@ -32,7 +33,7 @@ def partition_unit(points, scheme):
     Returns one label in 0..scheme-1 per point; every two points sharing a
     label are closer than the scheme's guarantee.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = _points(points)
     if scheme not in SCHEME_DELTA:
         raise ParameterError(_BAD_SCHEME)
     if len(pts) == 0:
@@ -62,14 +63,14 @@ def _square_quadrants(pts):
     """Quadrants of a surrounding unit square split at its center.
 
     The square is positioned so a point-free corner maps to the origin
-    (reflecting axes as needed); each closed quadrant minus two boundary
-    points is (sqrt(2)/2)-small, and overlap goes to the lowest region index.
+    (reflecting axes as needed).  A point goes to the first closed quadrant
+    holding it; to keep each (sqrt(2)/2)-small, the proof's removed points
+    (0, 1/2) and the center go to SW and (1/2, 0) goes to SE.
     """
     local = pts - pts.min(axis=0)
     side = float(local.max(initial=0.0))
     if side > 1.0:                           # tolerance slack only
         local = local / side
-    local = np.clip(local, 0.0, 1.0)
     eps = 1e-12
     corners = np.array([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
     taken = (np.abs(local[:, None] - corners) <= eps).all(axis=2).any(axis=0)
@@ -79,22 +80,14 @@ def _square_quadrants(pts):
     local = np.where(corners[np.argmin(taken)] == 1.0, 1.0 - local, local)
 
     h = 0.5
-    # within eps of a centre line is on it, as in the removed-point test:
-    # (0, 0.5 + ulp) leaves NW by that test, so SW's y <= h must take it
+    # within eps of a centre line is on it: (0, 0.5 + ulp) is the removed
+    # point (0, h), so it goes to SW
     local = np.where(np.abs(local - h) <= eps, h, local)
     x, y = local[:, 0], local[:, 1]
-    inside = np.stack([(x <= h) & (y >= h), (x >= h) & (y >= h),    # NW, NE
-                       (x <= h) & (y <= h), (x >= h) & (y <= h)],   # SW, SE
-                      axis=1)
-    removed = np.array([[(0.0, h), (h, h)], [(h, h), (h, 1.0)],
-                        [(0.0, 0.0), (h, 0.0)], [(h, h), (1.0, h)]])
-    near = (np.abs(local[:, None, None] - removed) <= eps).all(axis=3)
-    members = inside & ~near.any(axis=2)
-    missed = np.flatnonzero(~members.any(axis=1))
-    if len(missed):
-        raise InternalConsistencyError("quadrant assignment missed (%g, %g)"
-                                       % tuple(local[missed[0]]))
-    return members.argmax(axis=1)
+    labels = np.where(y >= h, 0, 2) + (x > h)     # NW 0, NE 1, SW 2, SE 3
+    labels[(y == h) & ((x <= eps) | (x == h))] = 2  # (0, h) and the center
+    labels[(x == h) & (y <= eps)] = 3               # (h, 0)
+    return labels
 
 
 def _hex_core_rim(pts):

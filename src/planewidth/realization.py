@@ -248,6 +248,15 @@ def pullback(g, h, phi, r_h):
 # Composition constructions
 
 
+def _check_parts(g, h, r_g, r_h):
+    """The composition constructions take Euclidean realizations of g and h."""
+    if r_g.norm != L2 or r_h.norm != L2:
+        raise ParameterError("composition constructions are Euclidean only")
+    if r_g.n != g.n or r_h.n != h.n:
+        raise ParameterError("realizations have %d and %d points for %d and "
+                             "%d vertices" % (r_g.n, r_h.n, g.n, h.n))
+
+
 def join_realization(g, h, r_g, r_h):
     """Arrangement of the join: diametral axes collinear, gap exactly 1.
 
@@ -255,6 +264,7 @@ def join_realization(g, h, r_g, r_h):
     point (x <= 0 once aligned), so cross distances are at least the
     separation: 1, plus any rounding overshoot of either part past x = 0.
     """
+    _check_parts(g, h, r_g, r_h)
     ag = _aligned(r_g)
     ah = _aligned(r_h)
     sep = 1.0 + max(ag[:, 0].max(), 0.0) + max(ah[:, 0].max(), 0.0)
@@ -275,6 +285,7 @@ def _aligned(r):
 
 def product_realization(g, h, r_g, r_h):
     """Vector-sum arrangement of the Cartesian product (vertex (u,x) = u*h.n+x)."""
+    _check_parts(g, h, r_g, r_h)
     ag, ah = r_g.coords, r_h.coords
     return Realization((ag[:, None, :] + ah[None, :, :]).reshape(-1, 2), L2)
 
@@ -282,8 +293,7 @@ def product_realization(g, h, r_g, r_h):
 def union_realization(g, h, r_g, r_h):
     """Overlay for the disjoint union: both enclosing hexagons centered and
     parallel at the origin, capping the width by the hexagon circumradii."""
-    if r_g.norm != L2 or r_h.norm != L2:
-        raise ParameterError("union construction is Euclidean only")
+    _check_parts(g, h, r_g, r_h)
     out = []
     for r in (r_g, r_h):
         arr = r.coords

@@ -260,7 +260,7 @@ def assert_input_error(result, *fragments):
 
 def test_interval_inversion_exits_3(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(bounds, "lower_bound",
-                        lambda g, chrom: (5.0, False, ("edge",)))
+                        lambda chrom: (5.0, False, ("edge",)))
     g = write_text(tmp_path, "k3.txt", "n 3\n0 1\n1 2\n0 2\n")
     code, out, err = run(capsys, "bounds", g)
     assert code == 3 and out == ""

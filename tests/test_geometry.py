@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from planewidth import geometry
 from planewidth.geometry import (
     INF, L2, LINE, LINF, NormSpec, convex_hull, diameter, distance,
-    pal_hexagon,
+    edge_lengths, pal_hexagon,
 )
-from planewidth.graphs import ParameterError
+from planewidth.graphs import InternalConsistencyError, ParameterError
 
 
 def test_distance_examples():
@@ -26,6 +27,17 @@ def test_norm_validation():
                  lambda: diameter(np.empty((0, 2))), lambda: pal_hexagon([])]:
         with pytest.raises(ParameterError):
             make()
+
+
+@pytest.mark.parametrize("call", [
+    lambda pts: diameter(pts),
+    lambda pts: pal_hexagon(pts),
+    lambda pts: edge_lengths(pts, np.array([[0, 1], [1, 2]])),
+], ids=["diameter", "pal_hexagon", "edge_lengths"])
+def test_flat_point_array_is_a_parameter_error(call):
+    # three coordinates are not three points: no IndexError, no one length
+    with pytest.raises(ParameterError, match=r"\(k, 2\) array"):
+        call([0.0, 2.0, 5.0])
 
 
 def test_distance_symmetry_and_triangle():
@@ -109,6 +121,16 @@ def test_pal_hexagon_random_containment():
         hexa = pal_hexagon(pts)
         assert hexa.width <= w + 1e-9
         assert hexa.containment_defect(pts) <= 1e-9
+
+
+def test_pal_hexagon_enclosure_check_fires(monkeypatch):
+    # a mismatch that never changes sign leaves the bisection at a wrong
+    # orientation; the hexagon must not silently grow past the diameter
+    monkeypatch.setattr(geometry, "_mismatch", lambda *args: 1.0)
+    a = 0.3 + 2.0 * math.pi / 3.0 * np.arange(3)
+    pts = np.stack([np.cos(a), np.sin(a)], axis=1) / math.sqrt(3)
+    with pytest.raises(InternalConsistencyError, match="failed to certify"):
+        pal_hexagon(pts)
 
 
 def test_pal_hexagon_geometry_consistency():

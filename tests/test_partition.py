@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from planewidth import partition
 from planewidth.coloring import check_proper
 from planewidth.geometry import Hexagon, diameter, pal_hexagon
-from planewidth.graphs import CertificateError, complete, cycle, \
-    graph_from_edges
+from planewidth.graphs import CertificateError, ParameterError, complete, \
+    cycle, graph_from_edges
 from planewidth.partition import (
     SCHEME_DELTA, SCHEME_THRESHOLD, _nearest_hex_cells, extract_coloring,
     partition_unit, tiling_color_cap, tiling_coloring, tiling_parameter,
@@ -55,6 +55,12 @@ def test_partition_triangle_scheme3():
 def test_partition_single_point():
     for scheme in (3, 4, 7):
         assert partition_unit(np.array([[0.2, -0.1]]), scheme) == [0]
+
+
+def test_partition_rejects_flat_points():
+    with pytest.raises(ParameterError, match=r"\(k, 2\) array"):
+        partition_unit([0.2, -0.1], 3)
+    assert partition_unit([], 3) == []
 
 
 def test_partition_rejects_wide_input():
@@ -378,6 +384,33 @@ def outcome(fn, *args):
         return "AssertionError: %s" % exc
 
 
+def quarter_grid_sets(rng, count):
+    """Subsets of the {0, 1/4, 1/2, 3/4, 1}^2 grid with diameter <= 1, each
+    coordinate moved by 5e-13 to 2e-12 or not at all, then reflected, turned
+    by quarter turns, scaled by 1 or 1 +- 1e-12 or 1 + 3e-10 and sometimes
+    shifted.  Scheme 4's eps is 1e-12, so in its quadrant frame many points
+    fall within eps of the removed points (0, 1/2), (1/2, 1/2), (1/2, 0), or
+    just outside."""
+    grid = np.array([(i, j) for i in range(5) for j in range(5)]) / 4.0
+    for _ in range(count):
+        size, chosen = int(rng.integers(2, 13)), []
+        for p in grid[rng.permutation(len(grid))]:
+            if len(chosen) < size and all(math.hypot(*(p - q)) <= 1.0
+                                          for q in chosen):
+                chosen.append(p)
+        pts = np.array(chosen)
+        jitter = (rng.uniform(5e-13, 2e-12, pts.shape)
+                  * rng.choice([-1.0, 1.0], pts.shape))
+        pts = pts + jitter * (rng.random(pts.shape) < 0.5)
+        if rng.random() < 0.5:
+            pts = pts[:, ::-1]
+        pts = pts * rng.choice([-1.0, 1.0], 2)
+        pts = pts * rng.choice([1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 + 3e-10])
+        if rng.random() < 0.3:
+            pts = pts + rng.uniform(-2.0, 2.0, 2)
+        yield pts
+
+
 def test_partitions_match_per_point_reference():
     rng = np.random.default_rng(2024)
     sets = [random_unit_diameter_points(rng, int(rng.integers(1, 30)))
@@ -388,6 +421,7 @@ def test_partitions_match_per_point_reference():
     for k in range(2, 8):
         grid = np.array([(i, j) for i in range(k) for j in range(k)], float)
         sets.append(grid / math.hypot(k - 1, k - 1))
+    sets += quarter_grid_sets(np.random.default_rng(25), 400)
     for pts in sets:
         for scheme in (3, 4, 7):
             assert (outcome(partition_unit, pts, scheme)

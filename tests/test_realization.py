@@ -449,6 +449,32 @@ def test_union_with_single_point():
     assert ev.width <= 1.0 + 1e-9
 
 
+LINE_K2 = Realization([[0.0], [1.0]], LINE)
+
+
+def test_join_realization_rejects_line_parts():
+    with pytest.raises(ParameterError, match="Euclidean only"):
+        join_realization(complete(2), complete(2), LINE_K2, LINE_K2)
+
+
+def test_product_realization_rejects_line_parts():
+    with pytest.raises(ParameterError, match="Euclidean only"):
+        product_realization(complete(2), complete(2), LINE_K2, LINE_K2)
+
+
+def test_product_realization_rejects_too_few_points():
+    seg = known_complete_arrangement(2)
+    with pytest.raises(ParameterError, match="2 and 2 points for 2 and 3"):
+        product_realization(complete(2), complete(3), seg, seg)
+
+
+def test_compositions_reject_max_norm_parts():
+    seg = Realization(((0.0, 0.0), (1.0, 0.0)), LINF)
+    for build in (join_realization, product_realization, union_realization):
+        with pytest.raises(ParameterError, match="Euclidean only"):
+            build(complete(2), complete(2), seg, seg)
+
+
 def test_composition_bounds_random_pairs():
     rng = np.random.default_rng(21)
     for _ in range(25):

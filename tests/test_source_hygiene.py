@@ -244,3 +244,52 @@ def test_unread_locals_sees_only_unread_names():
         "    return [x for x in a]\n")
     # total is read by its own +=; d is only rebound, in g
     assert unread_locals(tree) == [(3, "f", "d"), (12, "f", "exc")]
+
+
+def unread_parameters(tree):
+    """(line, function, name) for each parameter of a function that nothing
+    in the function, nested functions included, reads.  ``self``, ``cls``
+    and names starting with ``_`` are exempt."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = func.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *filter(None, [args.vararg, args.kwarg])]
+        reads = {node.id for node in ast.walk(func)
+                 if isinstance(node, ast.Name)
+                 and not isinstance(node.ctx, ast.Store)}
+        reads |= {node.target.id for node in ast.walk(func)
+                  if isinstance(node, ast.AugAssign)
+                  and isinstance(node.target, ast.Name)}
+        found += [(p.lineno, func.name, p.arg) for p in params
+                  if p.arg not in reads and p.arg not in ("self", "cls")
+                  and not p.arg.startswith("_")]
+    return sorted(found)
+
+
+def test_no_function_takes_a_parameter_it_never_reads():
+    problems = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        problems += ["%s:%d %s() never reads %r" % (path.name, line, func, name)
+                     for line, func, name in unread_parameters(tree)]
+    assert problems == []
+
+
+def test_unread_parameters_sees_only_unread_names():
+    tree = ast.parse(
+        "class C:\n"
+        "    def m(self, a, b=1, *rest, key, _skip, **opts):\n"
+        "        def inner(c):\n"
+        "            return a + c\n"
+        "        key += 1\n"
+        "        return inner\n"
+        "    @classmethod\n"
+        "    def k(cls, x, /, y):\n"
+        "        return y\n"
+        "f = lambda unused: 0\n")
+    # a read in a nested function counts; a lambda is not checked
+    assert unread_parameters(tree) == [(2, "m", "b"), (2, "m", "opts"),
+                                       (2, "m", "rest"), (8, "k", "x")]
