@@ -89,6 +89,8 @@ def pw_interval(g, chi_budget=CHI_BUDGET, opt_restarts=0, opt_seed=0,
     """
     if g.m == 0:
         raise ParameterError("bounds need at least one edge")
+    if opt_restarts < 0:
+        raise ParameterError("opt_restarts must be >= 0")
     chrom = chromatic_number(g, budget=chi_budget)
     r = from_coloring(g, chrom.coloring)
     entries = [(evaluate(g, r).width, r, "coloring")]

@@ -91,6 +91,8 @@ def _read_angles(path, n):
 def cmd_bounds(args):
     g = load_graph(args.graph)
     circular = None
+    if args.chi_c is not None and not args.angles:
+        raise ParameterError("--chi-c requires --angles")
     if args.angles:
         if args.chi_c is None:
             raise ParameterError("--angles requires --chi-c")

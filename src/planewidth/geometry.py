@@ -81,38 +81,31 @@ def edge_lengths(pts, edges, norm=L2):
 
 
 def convex_hull(pts):
-    """Andrew's monotone chain over an (n, 2) array; returns hull vertex
-    indices in ccw order."""
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-
-    def cross(o, a, b):
-        return ((pts[a, 0] - pts[o, 0]) * (pts[b, 1] - pts[o, 1])
-                - (pts[a, 1] - pts[o, 1]) * (pts[b, 0] - pts[o, 0]))
-
-    lower = []
-    for i in order:
-        while len(lower) > 1 and cross(lower[-2], lower[-1], i) <= 0:
-            lower.pop()
-        lower.append(i)
-    upper = []
-    for i in order[::-1]:
-        while len(upper) > 1 and cross(upper[-2], upper[-1], i) <= 0:
-            upper.pop()
-        upper.append(i)
-    return lower[:-1] + upper[:-1]
+    """Andrew's monotone chain over an (n, 2) array: the lower chain over
+    the sort order, then the upper one over its reverse; ccw indices."""
+    order = np.lexsort((pts[:, 1], pts[:, 0])).tolist()
+    xy = pts.tolist()
+    hull = []
+    for chain in (order, order[::-1]):
+        start = len(hull)
+        for i in chain:
+            while len(hull) > start + 1:
+                (ox, oy), (ax, ay), (bx, by) = xy[hull[-2]], xy[hull[-1]], xy[i]
+                if (ax - ox) * (by - oy) - (ay - oy) * (bx - ox) > 0:
+                    break
+                hull.pop()
+            hull.append(i)
+        del hull[-1:]               # each chain ends where the other starts
+    return hull
 
 
 def _diameter_calipers(pts):
     """Rotating calipers over the convex hull (Euclidean only)."""
     hull = convex_hull(pts)
     h = len(hull)
-    if h == 1:
-        return 0.0, (hull[0], hull[0])
-    if h == 2:
-        return distance(pts[hull[0]], pts[hull[1]]), (hull[0], hull[1])
     hp = pts[hull]
     best, pair = -1.0, (hull[0], hull[0])
-    j = 1
+    j = 1 % h
     for i in range(h):
         ni = (i + 1) % h
         edge = hp[ni] - hp[i]
@@ -160,14 +153,11 @@ class Hexagon:
     orientation: float   # angle of one side-normal, radians
     width: float         # distance between opposite sides
 
-    def normals(self):
-        return _hex_directions(self.orientation)
-
     def containment_defect(self, pts):
         """Max signed distance of any point beyond the six half-planes."""
         pts = np.asarray(pts, dtype=float)
         rel = pts - np.asarray(self.center)
-        proj = rel @ self.normals().T
+        proj = rel @ _hex_directions(self.orientation).T
         return float(np.max(np.abs(proj)) - self.width / 2.0)
 
     def corners(self):
@@ -218,8 +208,6 @@ def pal_hexagon(pts):
     a few ulps of the coordinates; a larger one is an InternalConsistencyError.
     """
     pts = _points(pts)
-    if len(pts) == 0:
-        raise ParameterError("empty point set")
     width, _ = diameter(pts)
     if width == 0.0:
         return Hexagon((float(pts[0, 0]), float(pts[0, 1])), 0.0, 0.0)

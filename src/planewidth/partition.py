@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .coloring import Coloring
+from .coloring import Coloring, require_proper
 from .geometry import L2, SQRT3, _hex_directions, _points, diameter, \
     pal_hexagon
 from .graphs import CertificateError, InternalConsistencyError, ParameterError
@@ -140,6 +140,19 @@ def _violation(pts, loops):
 # Coloring extraction
 
 
+def _euclidean_width(g, r):
+    """Width of ``r``, a valid Euclidean realization of ``g``, if finite."""
+    if r.norm != L2:
+        raise ParameterError("coloring from a realization is Euclidean only")
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        ev = evaluate(g, r)
+    if not ev.valid:
+        raise CertificateError("realization is invalid")
+    if not math.isfinite(ev.width):
+        raise ParameterError("realization width overflows the float range")
+    return ev.width
+
+
 def extract_coloring(g, r, scheme):
     """Proper coloring from a realization via a unit-scale partition.
 
@@ -150,15 +163,13 @@ def extract_coloring(g, r, scheme):
     if scheme not in SCHEME_THRESHOLD:
         raise ParameterError(_BAD_SCHEME)
     thr = SCHEME_THRESHOLD[scheme]
-    ev = evaluate(g, r)
-    if not ev.valid:
-        raise CertificateError("realization is invalid")
-    if ev.width > thr + 1e-9:
+    d = _euclidean_width(g, r)
+    if d > thr + 1e-9:
         raise CertificateError("width %.12g exceeds scheme-%d threshold %.12g"
-                               % (ev.width, scheme, thr))
-    if ev.width == 0.0:
+                               % (d, scheme, thr))
+    if d == 0.0:
         return Coloring([0] * g.n)
-    return _compact(partition_unit(r.coords / ev.width, scheme))
+    return _compact(partition_unit(r.coords / d, scheme))
 
 
 def _compact(labels):
@@ -190,14 +201,10 @@ def tiling_coloring(g, r):
     The enclosing hexagon of the arrangement (width d) is aligned with a
     tiling of cell side d/(3t); its corners land on cell centers t lattice
     steps out, so 3t^2+3t+1 cells cover everything.  Cell diameter is below
-    1, which forces adjacent vertices into distinct cells.
+    1, which forces adjacent vertices into distinct cells; the coloring is
+    still checked, since far from the origin rounding can merge two cells.
     """
-    if r.norm != L2:
-        raise ParameterError("tiling coloring is Euclidean only")
-    ev = evaluate(g, r)
-    if not ev.valid:
-        raise CertificateError("realization is invalid")
-    d = ev.width
+    d = _euclidean_width(g, r)
     if d == 0.0:
         return Coloring([0] * g.n), 1
     t = tiling_parameter(d)
@@ -212,12 +219,15 @@ def tiling_coloring(g, r):
     if steps_out.max() > t:
         raise CertificateError(
             "point fell outside the %d designated cells" % tiling_color_cap(t))
-    return _compact(cells), t
+    c = _compact(cells)
+    require_proper(g, c)
+    return c, t
 
 
 def _nearest_hex_cells(frac):
     """Nearest tiling-cell centers of the (n, 2) axial coordinates ``frac``,
-    as an (n, 2) int array, by cube rounding.
+    as an (n, 2) array of whole-number floats (an int64 cast would wrap past
+    9.2e18), by cube rounding.
 
     With x = i, z = j and y = -x - z, round all three and recompute the one
     with the largest rounding error from the other two
@@ -231,4 +241,4 @@ def _nearest_hex_cells(frac):
     fix_x = (dx > dy) & (dx > dz)
     rx = np.where(fix_x, -ry - rz, rx)
     rz = np.where(~fix_x & (dz >= dy), -rx - ry, rz)
-    return np.stack([rx, rz], axis=1).astype(int)
+    return np.stack([rx, rz], axis=1)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coloring import require_proper
-from .geometry import INF, L2, LINE, LINF, SQRT3, NormSpec, diameter, \
-    edge_lengths, pal_hexagon
+from .geometry import INF, L2, LINE, LINF, SQRT3, NormSpec, _points, \
+    diameter, edge_lengths, pal_hexagon
 from .graphs import CertificateError, InternalConsistencyError, \
     ParameterError, circle_points
 
@@ -47,11 +47,7 @@ class Realization:
     norm: NormSpec = L2
 
     def __post_init__(self):
-        arr = np.array(self.coords, dtype=float)
-        if arr.shape == (0,):
-            arr = arr.reshape(0, self.norm.dim)
-        if arr.ndim != 2 or arr.shape[1] != self.norm.dim:
-            raise ParameterError("point dimension != norm dimension")
+        arr = _points(self.coords, self.norm.dim).copy()   # ours to freeze
         if not np.isfinite(arr).all():
             raise ParameterError("non-finite coordinate")
         arr.flags.writeable = False

@@ -9,10 +9,10 @@ import pytest
 
 from planewidth import bounds
 from planewidth.cli import load_graph, main
-from planewidth.coloring import Coloring, check_proper
-from planewidth.graphs import complete, write_edge_list
-from planewidth.realization import Realization, read_realization, \
-    write_realization
+from planewidth.coloring import Coloring, check_proper, chromatic_number
+from planewidth.graphs import complete, odd_wheel, write_edge_list
+from planewidth.realization import Realization, low_dim_realization, \
+    read_realization, write_realization
 
 from conftest import chi3_copies
 
@@ -484,3 +484,75 @@ def test_verify_rejects_norm_below_1(capsys, tmp_path, norm):
     write_realization(Realization([[0, 0], [0.1, 0], [0, 0.1]]), rpath)
     assert_input_error(run(capsys, "verify", g, rpath, "--norm", norm),
                        "p must be >= 1")
+
+
+def extreme_inputs(tmp_path):
+    """Paths of the graph and realization files the table below names."""
+    w5 = odd_wheel(5)
+    coloring = chromatic_number(w5).coloring
+    paths = {"K2": write_text(tmp_path, "k2.txt", "n 2\n0 1\n"),
+             "E3": write_text(tmp_path, "e3.txt", "n 3\n"),
+             "V1": write_text(tmp_path, "v1.txt", "n 1\n"),
+             "W5": str(tmp_path / "w5.txt"),
+             "OUT": str(tmp_path / "out")}
+    write_edge_list(w5, paths["W5"])
+    for name, r in [
+            ("W5-LINF", low_dim_realization(w5, coloring, "linf-grid")),
+            ("W5-LINE", low_dim_realization(w5, coloring, "line")),
+            ("K2-1E20", Realization([[0.0, 0.0], [1e20, 0.0]])),
+            ("K2-1E200", Realization([[0.0, 0.0], [1e200, 0.0]])),
+            ("E3-POINTS", Realization([[0.0, 0.0]] * 3)),
+            ("V1-POINT", Realization([[0.5, 0.5]]))]:
+        paths[name] = str(tmp_path / (name + ".json"))
+        write_realization(r, paths[name])
+    return paths
+
+
+SCHEMES = ("3", "4", "7", "tiling")
+EXTREME_ROWS = [
+    # max-norm and line realizations are no plane sets, for any scheme
+    *[(["color", "W5", "--from", r, "--scheme", s, "-o", "OUT"], 1,
+       "Euclidean only") for r in ("W5-LINF", "W5-LINE") for s in SCHEMES],
+    # huge coordinates: 1e20 is in range, 1e200 overflows the squared width
+    *[(["color", "K2", "--from", "K2-1E20", "--scheme", s, "-o", "OUT"], 2,
+       "exceeds scheme-%s" % s) for s in SCHEMES[:3]],
+    (["color", "K2", "--from", "K2-1E20", "--scheme", "tiling", "-o", "OUT"],
+     0, ""),
+    *[(["color", "K2", "--from", "K2-1E200", "--scheme", s, "-o", "OUT"], 1,
+       "overflows the float range") for s in SCHEMES],
+    (["verify", "K2", "K2-1E20"], 0, ""),
+    (["verify", "K2", "K2-1E20", "--norm", "inf"], 0, ""),
+    (["plot", "K2-1E200", "K2", "-o", "OUT"], 0, ""),
+    (["gen", "--family", "circle-star", "--params", "2", "1e300", "-o", "OUT"],
+     0, ""),
+    # arguments that would otherwise be ignored
+    (["bounds", "K2", "--chi-c", "3"], 1, "--chi-c requires --angles"),
+    (["bounds", "K2", "--opt-restarts", "-3"], 1, "opt_restarts must be >= 0"),
+    # an edgeless graph and a one-vertex graph through every verb
+    (["gen", "--family", "complete", "--params", "1", "-o", "OUT"], 0, ""),
+    *[(["bounds", g], 1, "at least one edge") for g in ("E3", "V1")],
+    *[(["optimize", g, "--restarts", "1", "-o", "OUT"], 1, "at least one edge")
+      for g in ("E3", "V1")],
+    *[(["realize", g, "--method", m, "-o", "OUT"], 0, "")
+      for g in ("E3", "V1") for m in ("coloring", "line", "linf-grid")],
+    (["realize", "E3", "--method", "table", "-o", "OUT"], 0, ""),
+    (["realize", "V1", "--method", "table", "-o", "OUT"], 1, "2 <= n <= 8"),
+    (["realize", "V1", "--method", "lattice", "-o", "OUT"], 1, "n >= 2"),
+    *[(["verify", g, r], 0, "") for g, r in (("E3", "E3-POINTS"),
+                                              ("V1", "V1-POINT"))],
+    *[(["color", g, "--from", r, "--scheme", s, "-o", "OUT"], 0, "")
+      for g, r in (("E3", "E3-POINTS"), ("V1", "V1-POINT")) for s in SCHEMES],
+    *[(["plot", r, g, "-o", "OUT"], 0, "") for g, r in (("E3", "E3-POINTS"),
+                                                         ("V1", "V1-POINT"))],
+]
+
+
+@pytest.mark.parametrize("argv, code, fragment", EXTREME_ROWS,
+                         ids=[" ".join(row[0]) for row in EXTREME_ROWS])
+def test_cli_at_extreme_inputs(capsys, tmp_path, argv, code, fragment):
+    # never a traceback: an exit code and at most one line on stderr
+    paths = extreme_inputs(tmp_path)
+    got, _, err = run(capsys, *[paths.get(a, a) for a in argv])
+    assert got == code, err
+    assert "Traceback" not in err and len(err.splitlines()) <= 1
+    assert fragment in err and (err == "") == (code == 0)

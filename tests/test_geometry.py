@@ -1,6 +1,7 @@
 """Norms, diameter computation, and the regular-hexagon enclosure."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,31 @@ def test_diameter_hull_scan_matches_exhaustive():
         d = np.sqrt((diff * diff).sum(axis=-1))
         slow = float(d.max())
         assert fast == pytest.approx(slow, abs=1e-12)
+
+
+@pytest.mark.parametrize("pts, width", [
+    (np.full((70, 2), 0.25), 0.0),
+    (np.outer(np.arange(70)[::-1], [3.0, 4.0]), 345.0),
+    (np.repeat([[4.0, -2.0], [1.0, 2.0]], [30, 40], axis=0), 5.0),
+], ids=["coincident", "collinear", "two-positions"])
+def test_calipers_on_hulls_of_one_or_two_points(pts, width):
+    # over 64 points, so the calipers run; the lexicographically first
+    # point has the larger index in the last two sets
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, (i, j) = diameter(pts)
+    assert w == width and i <= j
+    assert math.hypot(*(pts[j] - pts[i])) == width
+
+
+def test_diameter_pair_is_sorted():
+    rng = np.random.default_rng(321)
+    for n in list(range(2, 80, 3)) + [120, 200]:    # pairwise and calipers
+        for pts in (rng.normal(size=(n, 2)),
+                    np.outer(rng.permutation(n), [1.0, -2.0]),
+                    rng.normal(size=(3, 2))[rng.integers(0, 3, n)]):
+            _, (i, j) = diameter(pts)
+            assert i <= j, (n, i, j)
 
 
 def test_convex_hull_square():

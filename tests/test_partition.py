@@ -7,17 +7,17 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from planewidth import partition
-from planewidth.coloring import check_proper
-from planewidth.geometry import Hexagon, diameter, pal_hexagon
+from planewidth.coloring import check_proper, chromatic_number
+from planewidth.geometry import Hexagon, diameter, edge_lengths, pal_hexagon
 from planewidth.graphs import CertificateError, ParameterError, complete, \
-    cycle, graph_from_edges
+    cycle, graph_from_edges, odd_wheel
 from planewidth.partition import (
     SCHEME_DELTA, SCHEME_THRESHOLD, _nearest_hex_cells, extract_coloring,
     partition_unit, tiling_color_cap, tiling_coloring, tiling_parameter,
 )
 from planewidth.realization import (
     Realization, evaluate, known_complete_arrangement,
-    lattice_complete_arrangement,
+    lattice_complete_arrangement, low_dim_realization,
 )
 
 from conftest import random_graph, random_unit_diameter_points
@@ -167,6 +167,21 @@ def test_extract_coloring_threshold_errors():
         extract_coloring(k8, known_complete_arrangement(8), 7)
 
 
+@pytest.mark.parametrize("scheme", [3, 4, 7, "tiling"])
+@pytest.mark.parametrize("method", ["linf-grid", "line"])
+def test_coloring_from_non_euclidean_realization_is_an_input_error(method,
+                                                                    scheme):
+    # valid max-norm and line realizations of W_5 are no plane sets
+    g = odd_wheel(5)
+    r = low_dim_realization(g, chromatic_number(g).coloring, method)
+    assert evaluate(g, r).valid
+    with pytest.raises(ParameterError, match="Euclidean only$"):
+        if scheme == "tiling":
+            tiling_coloring(g, r)
+        else:
+            extract_coloring(g, r, scheme)
+
+
 def test_extract_coloring_random_proper():
     rng = np.random.default_rng(55)
     done = 0
@@ -242,6 +257,32 @@ def test_tiling_coloring_large_width_count():
     assert check_proper(g, c) is None
     assert c.k <= tiling_color_cap(t)
     assert tiling_color_cap(t) < ((2 / math.sqrt(3) + 0.1) * w) ** 2
+
+
+def test_tiling_coloring_far_apart_edge():
+    # the far cell sits about 1.15e20 steps out, past int64
+    g = complete(2)
+    c, _ = tiling_coloring(g, Realization([[0.0, 0.0], [1e20, 0.0]]))
+    assert c.colors[0] != c.colors[1]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(2, 12), st.floats(-3.0, 25.0), st.integers(0, 2 ** 32 - 1))
+def test_tiling_coloring_returns_only_proper_colorings(n, exponent, seed):
+    # points at least 1 apart are adjacent at random, so the realization is
+    # valid; a refusal is sound, an improper coloring is not
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, (n, 2)) * 10.0 ** exponent
+    pairs = np.stack(np.triu_indices(n, 1), axis=1)
+    far = edge_lengths(pts, pairs) >= 1.0
+    g = graph_from_edges(n, pairs[far & (rng.random(len(pairs)) < 0.6)])
+    try:
+        c, _ = tiling_coloring(g, Realization(pts))
+    except CertificateError:
+        # only where cell coordinates lose whole cells to rounding
+        assert exponent > 14
+        return
+    assert check_proper(g, c) is None
 
 
 def test_tiling_zero_width_single_cell():
