@@ -1,8 +1,8 @@
 """Proper colorings plus the exact combinatorial solvers feeding the bounds.
 
-Max clique (over bitset adjacency, as Python ints) and chromatic number are
-branch and bound on explicit stacks, deterministic given the vertex order:
-ties always go to the lowest-index vertex and the lowest color.
+Max clique and chromatic number are branch and bound on explicit stacks over
+vertex bitmasks (Python ints), deterministic given the vertex order: ties
+always go to the lowest-index vertex and the lowest color.
 """
 
 from __future__ import annotations
@@ -151,23 +151,32 @@ def greedy_dsatur(g):
 
 def _greedy_independent_set(adj):
     """An independent set, built by taking the live vertex with the fewest
-    live neighbours (ties to the lowest index) until none is left.
+    live neighbours (ties to the lowest index) until none is left: the low
+    bit of the lowest non-empty bucket[d], the bitmask of live vertices with
+    d live neighbours.
 
     Its size bounds the independence number from below, so ceil(n / size)
     bounds ceil(n / alpha) from above: it says when alpha cannot help, and
     is never a lower bound on the chromatic number itself.
     """
-    live = set(range(len(adj)))
     degree = [len(a) for a in adj]
-    chosen = []
+    bucket = [0] * (len(adj) + 1)
+    for v, d in enumerate(degree):
+        bucket[d] |= 1 << v
+    live, chosen = set(range(len(adj))), []
     while live:
-        v = min(live, key=lambda w: (degree[w], w))
+        # the scans cost O(n) in all: each pick removes d + 1 live vertices
+        d = next(d for d, b in enumerate(bucket) if b)
+        v = (bucket[d] & -bucket[d]).bit_length() - 1
         chosen.append(v)
         gone = (adj[v] & live) | {v}
         live -= gone
         for u in gone:
+            bucket[degree[u]] ^= 1 << u
             for w in adj[u] & live:
+                bucket[degree[w]] ^= 1 << w
                 degree[w] -= 1
+                bucket[degree[w]] |= 1 << w
     return chosen
 
 
@@ -176,64 +185,81 @@ def _exact_chromatic(adj, lower, deadline):
 
     The next vertex has the most distinct colors among its neighbours, then
     the highest degree, then the lowest index; it takes the lowest color
-    first, so the first leaf is the DSATUR heuristic coloring.  key[v] packs
-    that order into one int, sat[v] * n + rank[v]: sat[v], the number of
-    colors forbidden at v, moves by one (key[v] by n) wherever a bit of
-    forbidden[v] is set or cleared, so no choice counts bits.
+    first, so the first leaf is the DSATUR heuristic coloring.  Relabelled
+    by that rank (degree, then lowest index), vertices are bits: the next
+    one is the top bit of the highest non-empty sat[s], the uncolored
+    vertices with s forbidden colors; colmask[c] holds the vertices where c
+    is forbidden.  Coloring v moves the neighbours it newly forbids up one
+    level, and undoing it moves them back down.
 
     The search stops at a coloring with at most ``lower`` colors.  Once it
     has a coloring it reads the clock every 2048 nodes, and past ``deadline``
     it returns the best coloring found, inexact.
     """
     n = len(adj)
-    best_k, best_colors = n + 1, None
+    order = sorted(range(n), key=lambda v: (len(adj[v]), -v))
+    rank = sorted(range(n), key=order.__getitem__)      # its inverse
+    nbrs = [sum(1 << rank[w] for w in adj[v]) for v in order]
+    sat, colmask = [0] * (n + 2), [0] * (n + 1)
+    sat[0] = uncolored = (1 << n) - 1
+    best_k, best = n + 1, None
     colors = [-1] * n               # read only once every vertex is colored
-    # forbidden[v] = bitmask of colors unusable at v
-    forbidden = [0] * n
-    key = [0] * n
-    for rank, v in enumerate(sorted(range(n), key=lambda v: (len(adj[v]), -v))):
-        key[v] = rank
-    uncolored = set(range(n))
-    stack = []                      # [v, used before v, limit, color, touched]
+    stack = []      # [v, 1 << v, level, used before v, limit, color, touched]
     used = calls = 0                # used: colors used at the node entered
     while True:
         calls += 1
-        if (calls % 2048 == 0 and best_colors is not None
+        if (calls % 2048 == 0 and best is not None
                 and time.monotonic() > deadline):
-            return best_colors, False
+            return [best[i] for i in rank], False
         if used < best_k and not uncolored:
-            best_k, best_colors = used, list(colors)
+            best_k, best = used, list(colors)
             if best_k <= lower:
-                return best_colors, True
+                return [best[i] for i in rank], True
         elif used < best_k:
-            v = max(uncolored, key=key.__getitem__)
-            uncolored.remove(v)
-            stack.append([v, used, min(used + 1, best_k - 1), -1, ()])
+            s = used
+            while not sat[s]:
+                s -= 1
+            v = sat[s].bit_length() - 1
+            bit = 1 << v
+            sat[s] ^= bit
+            uncolored ^= bit
+            stack.append([v, bit, s, used, min(used + 1, best_k - 1), -1, 0])
         # undo the top frame's color and move it to its next free color,
         # dropping frames that have none left
         while stack:
             top = stack[-1]
-            v, used, limit, c, touched = top
-            for w in touched:
-                forbidden[w] &= ~(1 << c)
-                key[w] -= n
+            v, bit, s, used, limit, c, touched = top
+            colmask[c] ^= touched
+            t = 1
+            while touched:
+                moved = touched & sat[t]
+                if moved:
+                    sat[t] ^= moved
+                    sat[t - 1] |= moved
+                    touched ^= moved
+                t += 1
             c += 1
-            while c < limit and forbidden[v] >> c & 1:
+            while c < limit and colmask[c] & bit:
                 c += 1
             if c < limit:
                 break
-            uncolored.add(v)
+            uncolored |= bit
+            sat[s] |= bit
             stack.pop()
         else:
-            return best_colors, True
-        bit = 1 << c
+            return [best[i] for i in rank], True
         colors[v] = c
-        touched = [w for w in adj[v]
-                   if w in uncolored and not forbidden[w] & bit]
-        for w in touched:
-            forbidden[w] |= bit
-            key[w] += n
-        top[3:] = c, touched
+        touched = nbrs[v] & uncolored & ~colmask[c]
+        colmask[c] |= touched
+        top[5:] = c, touched
+        t = used
+        while touched:
+            moved = touched & sat[t]
+            if moved:
+                sat[t] ^= moved
+                sat[t + 1] |= moved
+                touched ^= moved
+            t -= 1
         used = max(used, c + 1)
 
 

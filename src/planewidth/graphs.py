@@ -33,6 +33,9 @@ class InternalConsistencyError(AssertionError):
     """A proven invariant failed, such as lower <= upper: a bug, not input."""
 
 
+_MAX_VERTICES = math.isqrt(np.iinfo(np.intp).max)   # keys u * n + v must fit
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """A graph on the vertices 0..n-1.
@@ -47,10 +50,9 @@ class Graph:
 
     def __post_init__(self):
         n, edges = self.n, self.edge_array
-        top = math.isqrt(np.iinfo(np.intp).max)    # keys u * n + v must fit
-        if not (isinstance(n, (int, np.integer)) and 0 <= n <= top):
+        if not (isinstance(n, (int, np.integer)) and 0 <= n <= _MAX_VERTICES):
             raise ParameterError("vertex count must be an integer in 0..%d"
-                                 % top)
+                                 % _MAX_VERTICES)
         pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
         if pairs.size == 0:
             pairs = np.empty((0, 2), dtype=np.intp)
@@ -117,15 +119,20 @@ def induced_subgraph(g, keep):
 
 
 def _count(value, name):
-    """value as an int, or ParameterError when it is not an integer."""
+    """value as an int, or ParameterError when it is not an integer or is
+    above the vertex limit of a Graph, before anything is allocated."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ParameterError("%s must be an integer, got %r"
                              % (name, value)) from None
+    if value > _MAX_VERTICES:
+        raise ParameterError("%s must be at most %d" % (name, _MAX_VERTICES))
+    return value
 
 
 def complete(n):
+    n = _count(n, "complete n")
     if n < 0:
         raise ParameterError("n must be nonnegative")
     return Graph(n, np.stack(np.triu_indices(n, 1), axis=1))
@@ -154,7 +161,7 @@ def circulant(p, q):
 
     The circular chromatic number of this family is p/q.
     """
-    q = _count(q, "circulant q")
+    p, q = _count(p, "circulant p"), _count(q, "circulant q")
     if q < 2 or p <= 2 * q:
         raise ParameterError("circulant requires p > 2q >= 4")
     pairs = complete(p).edge_array

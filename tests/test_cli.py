@@ -525,6 +525,9 @@ EXTREME_ROWS = [
     (["plot", "K2-1E200", "K2", "-o", "OUT"], 0, ""),
     (["gen", "--family", "circle-star", "--params", "2", "1e300", "-o", "OUT"],
      0, ""),
+    # a count no Graph can hold, refused before anything is allocated
+    (["gen", "--family", "cycle", "--params", "100000000000000000000", "-o",
+      "OUT"], 1, "cycle length must be at most 3037000499"),
     # arguments that would otherwise be ignored
     (["bounds", "K2", "--chi-c", "3"], 1, "--chi-c requires --angles"),
     (["bounds", "K2", "--opt-restarts", "-3"], 1, "opt_restarts must be >= 0"),

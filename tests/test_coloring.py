@@ -475,6 +475,48 @@ def test_greedy_independent_set_is_not_a_chi_bound():
         assert check_proper(g, res.coloring) is None
 
 
+def _reference_greedy_independent_set(adj):
+    """The greedy independent set as a loop over Python sets: the live
+    vertex with the fewest live neighbours, then the lowest index, joins
+    the set and leaves with its neighbours, until none is left."""
+    live = set(range(len(adj)))
+    degree = [len(a) for a in adj]
+    chosen = []
+    while live:
+        v = min(live, key=lambda w: (degree[w], w))
+        chosen.append(v)
+        gone = (adj[v] & live) | {v}
+        live -= gone
+        for u in gone:
+            for w in adj[u] & live:
+                degree[w] -= 1
+    return chosen
+
+
+def test_greedy_independent_set_matches_reference_loop():
+    rng = np.random.default_rng(1998)
+    graphs = [random_graph(rng, int(rng.integers(0, 60)),
+                           float(rng.uniform(0.0, 1.0))) for _ in range(300)]
+    graphs += [chi3_copies(1), chi3_copies(40), _trap_graph(),
+               join(complete(1), graph_from_edges(300, [])), complete(7),
+               graph_from_edges(5, [])]
+    for g in graphs:
+        adj = g.adjacency()
+        assert _greedy_independent_set(adj) == \
+            _reference_greedy_independent_set(adj), g
+
+
+def test_zero_budget_on_thousands_of_vertices_is_fast():
+    # 6,600 vertices: the greedy stages and the first DSATUR leaf are
+    # near-linear, so a zero budget ends well within a second
+    g = chi3_copies(600)
+    start = time.monotonic()
+    res = chromatic_number(g, budget=0.0)
+    assert time.monotonic() - start < 1.0
+    assert check_proper(g, res.coloring) is None
+    assert res.lower == 3 and res.upper == res.coloring.k
+
+
 def test_cut_independence_search_gives_no_bound(monkeypatch):
     # An independence-number search cut by the deadline returns an
     # independent set, here {0, 1}, smaller than alpha = 3: ceil(7 / 2) = 4

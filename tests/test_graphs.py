@@ -441,3 +441,24 @@ def test_graph_errors_show_plain_ints(pairs):
 def test_graph_vertex_count_must_be_a_bounded_integer(n):
     with pytest.raises(ParameterError, match="vertex count"):
         Graph(n, [(0, 1)])
+
+
+HUGE = 10 ** 20
+
+
+@pytest.mark.parametrize("build, fragment", [
+    (lambda: complete(HUGE), "complete n must be at most 3037000499"),
+    (lambda: cycle(HUGE), "cycle length must be at most 3037000499"),
+    (lambda: odd_wheel(HUGE + 1), "cycle length must be at most"),
+    (lambda: circulant(HUGE, 2), "circulant p must be at most"),
+    (lambda: circulant(7, HUGE), "circulant q must be at most"),
+    (lambda: circle_star(HUGE, 0.1), "circle-star n must be at most"),
+    (lambda: circle_star_points(HUGE, 0.1), "circle-star n must be at most"),
+    (lambda: complete(10 ** 5000), "complete n must be at most"),
+    (lambda: complete(2.5), "complete n must be an integer, got 2.5"),
+    (lambda: circulant(7.5, 2), "circulant p must be an integer, got 7.5"),
+])
+def test_generator_counts_are_bounded_integers(build, fragment):
+    # a count no Graph can hold is refused before its edges are built
+    with pytest.raises(ParameterError, match="^" + re.escape(fragment)):
+        build()
