@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CertificateError, ParameterError, complement, \
-    induced_subgraph
+from .graphs import CertificateError, ParameterError
 
 CHI_BUDGET = 10.0       # default seconds for one whole chromatic solve
 
@@ -66,21 +65,39 @@ def write_coloring(c, path):
 # Maximum clique
 
 
+def _masks(n, pairs):
+    """Bitmask adjacency of the vertex pairs: bit w of masks[v] is v ~ w."""
+    adj = [0] * n
+    for u, v in pairs.tolist():
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def _bits(mask):
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def max_clique(g, deadline=None):
     """A maximum clique as a sorted vertex list.
 
     Branch and bound on an explicit stack of [candidates, order, bounds]
     frames: candidates are greedily colored and the color count bounds the
     clique extension, pruning subtrees that cannot beat the incumbent.  With
-    a ``deadline`` (a ``time.monotonic()`` value) the clock is read every
-    1024 expansions, once an incumbent exists, and the search stops past it
-    with the largest clique found so far: a maximal clique, of two or more
+    a ``deadline`` (a ``time.monotonic()`` value) the clock is read at every
+    new frame, once an incumbent exists, and the search stops past it with
+    the largest clique found so far: a maximal clique, of two or more
     vertices when g has an edge.
     """
-    adj = [0] * g.n                 # bitset adjacency
-    for u, v in g.edge_array.tolist():
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    return _clique(_masks(g.n, g.edge_array), deadline)
+
+
+def _clique(adj, deadline=None, best=()):
+    """max_clique on bitmask adjacency, from the incumbent clique ``best``."""
 
     def frame(cand_mask):
         # Greedy coloring of the candidate set; returns vertices ordered so
@@ -100,8 +117,8 @@ def max_clique(g, deadline=None):
                 bounds.append(color)
         return [cand_mask, order, bounds]
 
-    best, clique, calls = [], [], 1     # clique[i] spawned stack[i + 1]
-    stack = [frame((1 << g.n) - 1)]
+    best, clique = list(best), []       # clique[i] spawned stack[i + 1]
+    stack = [frame((1 << len(adj)) - 1)]
     while stack:
         top = stack[-1]
         cand_mask, order, bounds = top
@@ -117,9 +134,7 @@ def max_clique(g, deadline=None):
             if len(clique) + 1 > len(best):
                 best = clique + [v]
             continue
-        calls += 1
-        if (deadline is not None and best and calls % 1024 == 0
-                and time.monotonic() > deadline):
+        if deadline is not None and best and time.monotonic() > deadline:
             break
         clique.append(v)
         stack.append(frame(sub))
@@ -146,41 +161,42 @@ class ChromaticResult:
 
 def greedy_dsatur(g):
     """DSATUR heuristic coloring: the first leaf of the exact search."""
-    return Coloring(_exact_chromatic(g.adjacency(), g.n, math.inf)[0])
+    return Coloring(_exact_chromatic(g, g.n, math.inf)[0])
 
 
 def _greedy_independent_set(adj):
-    """An independent set, built by taking the live vertex with the fewest
-    live neighbours (ties to the lowest index) until none is left: the low
-    bit of the lowest non-empty bucket[d], the bitmask of live vertices with
-    d live neighbours.
+    """An independent set of the graph with bitmask adjacency ``adj``,
+    built by taking the live vertex with the fewest live neighbours (ties to
+    the lowest index) until none is left: the low bit of the lowest
+    non-empty bucket[d], the bitmask of live vertices with d live
+    neighbours.
 
     Its size bounds the independence number from below, so ceil(n / size)
     bounds ceil(n / alpha) from above: it says when alpha cannot help, and
     is never a lower bound on the chromatic number itself.
     """
-    degree = [len(a) for a in adj]
+    degree = [a.bit_count() for a in adj]
     bucket = [0] * (len(adj) + 1)
     for v, d in enumerate(degree):
         bucket[d] |= 1 << v
-    live, chosen = set(range(len(adj))), []
+    live, chosen = (1 << len(adj)) - 1, []
     while live:
         # the scans cost O(n) in all: each pick removes d + 1 live vertices
         d = next(d for d, b in enumerate(bucket) if b)
         v = (bucket[d] & -bucket[d]).bit_length() - 1
         chosen.append(v)
-        gone = (adj[v] & live) | {v}
-        live -= gone
-        for u in gone:
+        gone = (adj[v] | 1 << v) & live
+        live ^= gone
+        for u in _bits(gone):
             bucket[degree[u]] ^= 1 << u
-            for w in adj[u] & live:
+            for w in _bits(adj[u] & live):
                 bucket[degree[w]] ^= 1 << w
                 degree[w] -= 1
                 bucket[degree[w]] |= 1 << w
     return chosen
 
 
-def _exact_chromatic(adj, lower, deadline):
+def _exact_chromatic(g, lower, deadline):
     """DSATUR-ordered branch and bound on an explicit stack: (colors, exact).
 
     The next vertex has the most distinct colors among its neighbours, then
@@ -196,10 +212,11 @@ def _exact_chromatic(adj, lower, deadline):
     has a coloring it reads the clock every 2048 nodes, and past ``deadline``
     it returns the best coloring found, inexact.
     """
-    n = len(adj)
-    order = sorted(range(n), key=lambda v: (len(adj[v]), -v))
-    rank = sorted(range(n), key=order.__getitem__)      # its inverse
-    nbrs = [sum(1 << rank[w] for w in adj[v]) for v in order]
+    n = g.n
+    degree = np.bincount(g.edge_array.ravel(), minlength=n)
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.lexsort((-np.arange(n), degree))] = np.arange(n)
+    nbrs = _masks(n, rank[g.edge_array])
     sat, colmask = [0] * (n + 2), [0] * (n + 1)
     sat[0] = uncolored = (1 << n) - 1
     best_k, best = n + 1, None
@@ -267,10 +284,10 @@ def chromatic_number(g, budget=CHI_BUDGET):
     """Exact chromatic number within a time budget.
 
     The budget bounds the whole solve: the clique, independence-number and
-    coloring searches share one deadline.  Universal vertices are peeled
-    first (each adds exactly one color).  The lower bound is the clique
-    size, raised to ceil(n / independence number) when a greedy independent
-    set leaves room for that to be larger and the independence-number search
+    coloring searches share one deadline.  With u universal vertices (each
+    adds exactly one color), the lower bound is the clique size, raised to
+    ceil((n - u) / independence number) + u when a greedy independent set
+    leaves room for that to be larger and the independence-number search
     ends in time.  On timeout the result carries the best (lower, upper)
     pair plus a witness coloring for the upper bound; ``exact`` says whether
     the two were proven equal.
@@ -282,29 +299,20 @@ def chromatic_number(g, budget=CHI_BUDGET):
 
 
 def _chromatic(g, deadline):
-    if g.n == 0:
-        return ChromaticResult(0, 0, Coloring(()), True, 0)
-
-    # peel universal vertices
-    universal = np.bincount(g.edge_array.ravel(), minlength=g.n) == g.n - 1
-    if universal.any():
-        sub = _chromatic(induced_subgraph(g, ~universal), deadline)
-        shift = int(universal.sum())
-        colors = np.empty(g.n, dtype=np.intp)
-        colors[universal] = np.arange(shift)
-        colors[~universal] = shift + np.array(sub.coloring.colors, dtype=int)
-        witness = Coloring(colors.tolist())
-        return ChromaticResult(sub.lower + shift, sub.upper + shift,
-                               witness, sub.exact, sub.omega + shift)
-
-    adj = g.adjacency()
-    omega = lower = len(max_clique(g, deadline))
-    if math.ceil(g.n / len(_greedy_independent_set(adj))) > omega:
-        alpha = len(max_clique(complement(g), deadline))
+    n = g.n
+    adj = _masks(n, g.edge_array)
+    full = (1 << n) - 1
+    u = sum(a == full ^ 1 << v for v, a in enumerate(adj))     # universal
+    omega = lower = len(_clique(adj, deadline))
+    independent = _greedy_independent_set(adj)
+    # the n - u other vertices need ceil((n - u) / alpha) colors of their own
+    if n and math.ceil((n - u) / len(independent)) + u > omega:
+        co = [full ^ a ^ 1 << v for v, a in enumerate(adj)]
+        alpha = len(_clique(co, deadline, independent))
         # a cut search gives an independent set, not alpha: no bound then
         if time.monotonic() <= deadline:
-            lower = max(omega, math.ceil(g.n / alpha))
-    colors, exact = _exact_chromatic(adj, lower, deadline)
+            lower = max(omega, math.ceil((n - u) / alpha) + u)
+    colors, exact = _exact_chromatic(g, lower, deadline)
     best = Coloring(colors)
     return ChromaticResult(best.k if exact else lower, best.k, best, exact,
                            omega)

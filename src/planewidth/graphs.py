@@ -2,7 +2,7 @@
 
 Vertices are dense 0-based integers.  A graph stores its edges as one sorted,
 read-only ``(m, 2)`` array, so graphs are immutable values; the frozenset
-and adjacency sets are views derived from it.
+of edges is a view derived from it.
 """
 
 from __future__ import annotations
@@ -92,26 +92,9 @@ class Graph:
     def sorted_edges(self):
         return list(zip(*self.edge_array.T.tolist()))
 
-    def adjacency(self):
-        """Adjacency sets, one per vertex."""
-        adj = [set() for _ in range(self.n)]
-        for u, v in self.edge_array.tolist():
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
 
 def graph_from_edges(n, pairs):
     return Graph(n, pairs)
-
-
-def induced_subgraph(g, keep):
-    """The subgraph on the vertices where the boolean mask ``keep`` holds,
-    relabelled densely in their old order."""
-    keep = np.asarray(keep, dtype=bool)
-    label = np.cumsum(keep) - 1
-    inside = keep[g.edge_array].all(axis=1)
-    return Graph(int(keep.sum()), label[g.edge_array[inside]])
 
 
 # ---------------------------------------------------------------------------

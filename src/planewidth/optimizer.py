@@ -207,7 +207,8 @@ def brute_force(g, resolution):
         raise ParameterError("need at least one edge and positive resolution")
     d_max = 1.0 + COMPLETE_WIDTH[greedy_dsatur(g).k]    # k <= n <= 4
 
-    adj = g.adjacency()
+    earlier = [g.edge_array[g.edge_array[:, 1] == v, 0].tolist()
+               for v in range(g.n)]     # the neighbours placed before v
     steps = int(math.floor(d_max / resolution + 1e-9))
     axis = np.arange(-steps, steps + 1, dtype=float) * resolution
     xs, ys = (c.ravel() for c in np.meshgrid(axis, axis, indexing="ij"))
@@ -226,9 +227,8 @@ def brute_force(g, resolution):
         mask = ys >= 0.0 if on_axis else np.ones(len(ys), dtype=bool)
         if v == 1:
             mask &= (ys == 0.0) & (xs >= 0.0)
-        for u in adj[v]:
-            if u < v:
-                mask &= cols[u] >= 1.0 - eps
+        for u in earlier[v]:
+            mask &= cols[u] >= 1.0 - eps
         return mask
 
     def place(v, points, xs, ys, cols, far, width, on_axis):

@@ -12,9 +12,9 @@ import pytest
 
 from planewidth.bounds import pw_interval
 from planewidth.coloring import (
-    Coloring, ImproperColoringError, _greedy_independent_set, check_proper,
-    chromatic_number, greedy_dsatur, max_clique, require_proper,
-    write_coloring,
+    Coloring, ImproperColoringError, _greedy_independent_set, _masks,
+    check_proper, chromatic_number, greedy_dsatur, max_clique,
+    require_proper, write_coloring,
 )
 from planewidth.graphs import (
     Graph, ParameterError, circulant, circle_star, complement, complete, cycle,
@@ -103,11 +103,20 @@ def test_greedy_dsatur_proper():
     assert greedy_dsatur(graph_from_edges(0, [])) == Coloring(())
 
 
+def _adjacency_sets(g):
+    """One Python set of neighbours per vertex, for the reference loops."""
+    adj = [set() for _ in range(g.n)]
+    for u, v in g.edge_array.tolist():
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def _reference_greedy_dsatur(g):
     """DSATUR as a loop over Python sets: the uncolored vertex with the
     most distinct neighbour colors, then the highest degree, then the lowest
     index, takes the lowest color not among its neighbours'."""
-    adj = g.adjacency()
+    adj = _adjacency_sets(g)
     colors = [-1] * g.n
     sat = [set() for _ in range(g.n)]
     for _ in range(g.n):
@@ -265,7 +274,8 @@ def mycielski_95():
     for _ in range(5):
         g = _mycielskian(g)
     assert (g.n, len(max_clique(g))) == (95, 2)
-    assert math.ceil(g.n / len(_greedy_independent_set(g.adjacency()))) > 2
+    assert math.ceil(g.n / len(_greedy_independent_set(
+        _masks(g.n, g.edge_array)))) > 2
     return g
 
 
@@ -276,6 +286,19 @@ def test_budget_bounds_the_whole_solve(mycielski_95):
     assert time.monotonic() - t0 <= 0.25 + 1.0
     assert not res.exact
     assert res.lower <= 7 <= res.upper
+    assert check_proper(g, res.coloring) is None
+    assert res.coloring.k == res.upper
+
+
+def test_budget_bounds_the_independence_stage():
+    # 330 disjoint Petersen graphs, 3,300 vertices: the independence-number
+    # search runs on the complement (5.4 M edges) and must stop in time
+    copies = np.arange(330)[:, None, None] * 10
+    g = Graph(3300, (petersen().edge_array + copies).reshape(-1, 2))
+    t0 = time.monotonic()
+    res = chromatic_number(g, budget=0.25)
+    assert time.monotonic() - t0 <= 0.25 + 1.0
+    assert res.lower <= 3 <= res.upper
     assert check_proper(g, res.coloring) is None
     assert res.coloring.k == res.upper
 
@@ -356,7 +379,7 @@ def _reference_chromatic(g):
     greedy = greedy_dsatur(g)
     if greedy.k <= lower:
         return greedy.k, greedy.k, True, omega, greedy.colors
-    adj = g.adjacency()
+    adj = _adjacency_sets(g)
     colors, forbidden = [-1] * n, [0] * n
     best = [greedy.k, list(greedy.colors)]
 
@@ -404,9 +427,18 @@ def workloads():
 
 def test_matches_reference_on_random_graphs():
     rng = np.random.default_rng(808)
-    for _ in range(200):
-        g = random_graph(rng, int(rng.integers(1, 41)),
-                         float(rng.uniform(0.05, 0.9)))
+    graphs = [random_graph(rng, int(rng.integers(1, 41)),
+                           float(rng.uniform(0.05, 0.9))) for _ in range(200)]
+    # universal vertices, which G(n, p) almost never has: K_k joined to a
+    # random core, first or spread by a vertex permutation
+    for k in (1, 2, 3, 4):
+        for permute in (False, True, True):
+            g = join(complete(k), random_graph(rng, int(rng.integers(1, 26)),
+                                               float(rng.uniform(0.1, 0.9))))
+            if permute:
+                g = Graph(g.n, rng.permutation(g.n)[g.edge_array])
+            graphs.append(g)
+    for g in graphs:
         assert _as_tuple(chromatic_number(g)) == _reference_chromatic(g), g
 
 
@@ -458,7 +490,7 @@ def test_greedy_independent_set_is_not_a_chi_bound():
     # 3, 4 and 6 and leaves the triangle 1, 2, 5: it ends with two vertices,
     # while {1, 3, 4} is independent.
     g = _trap_graph()
-    greedy_set = _greedy_independent_set(g.adjacency())
+    greedy_set = _greedy_independent_set(_masks(g.n, g.edge_array))
     assert greedy_set == [0, 1]
     assert not any((u, v) in g.edges for u, v in [(1, 3), (1, 4), (3, 4)])
     # ceil(n / |I|) = 4 exceeds chi = 3: the triangle and a 3-coloring
@@ -501,9 +533,8 @@ def test_greedy_independent_set_matches_reference_loop():
                join(complete(1), graph_from_edges(300, [])), complete(7),
                graph_from_edges(5, [])]
     for g in graphs:
-        adj = g.adjacency()
-        assert _greedy_independent_set(adj) == \
-            _reference_greedy_independent_set(adj), g
+        assert _greedy_independent_set(_masks(g.n, g.edge_array)) == \
+            _reference_greedy_independent_set(_adjacency_sets(g)), g
 
 
 def test_zero_budget_on_thousands_of_vertices_is_fast():
@@ -524,17 +555,18 @@ def test_cut_independence_search_gives_no_bound(monkeypatch):
     import planewidth.coloring as coloring
 
     g = _trap_graph()
-    co = complement(g)
-    solve = coloring.max_clique
+    solve, cut = coloring._clique, []
 
-    def cut_search(h, deadline=None):
-        if h != co:
-            return solve(h, deadline)
+    def cut_search(adj, deadline=None, best=()):
+        if not best:                    # the clique search: left whole
+            return solve(adj, deadline)
+        cut.append(best)                # the independence-number search
         while time.monotonic() <= deadline:
             time.sleep(0.001)
         return [0, 1]
 
-    monkeypatch.setattr(coloring, "max_clique", cut_search)
+    monkeypatch.setattr(coloring, "_clique", cut_search)
     res = chromatic_number(g, budget=0.05)
+    assert cut == [[0, 1]]              # seeded with the greedy set
     assert res.lower <= 3
     assert res.exact and res.chi == 3
