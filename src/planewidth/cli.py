@@ -1,4 +1,4 @@
-"""Command-line surface: generate, bound, realize, verify, color, plot.
+"""Command-line surface: generate, bound, realize, verify, color, optimize.
 
 Exit codes: 0 success, 1 usage or parse error, 2 verification or
 precondition failure, 3 internal consistency error.
@@ -10,8 +10,6 @@ import argparse
 import json
 import math
 import sys
-
-import numpy as np
 
 from . import bounds as bounds_mod
 from . import graphs as graphs_mod
@@ -170,62 +168,6 @@ def cmd_optimize(args):
     return 0
 
 
-def cmd_plot(args):
-    r = read_realization(args.realization)
-    g = load_graph(args.graph) if args.graph else None
-    svg = render_svg(r, g)
-    with open(args.output, "w") as fh:
-        fh.write(svg)
-    print("wrote %s" % args.output)
-    return 0
-
-
-def render_svg(r, g=None):
-    """2-D scatter with edges and a 1-unit scale bar; 100 px per plane unit."""
-    if g is not None and g.n != r.n:
-        raise ParameterError("realization has %d points but the graph has %d "
-                             "vertices" % (r.n, g.n))
-    scale = 100.0
-    pts = np.zeros((max(r.n, 1), 2))
-    pts[:r.n, :r.norm.dim] = r.coords          # a line sits on y = 0
-    xmin, ymin = pts.min(axis=0).tolist()
-    xmax, ymax = pts.max(axis=0).tolist()
-    span = max(xmax - xmin, ymax - ymin, 1.0)
-    margin = 0.05 * span + 0.2
-    w = (xmax - xmin + 2 * margin) * scale
-    h = (ymax - ymin + 2 * margin + 0.4) * scale
-
-    def sx(x):
-        return (x - xmin + margin) * scale
-
-    def sy(y):
-        return (ymax - y + margin) * scale    # flip: svg y grows downward
-
-    parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="%.1f" height="%.1f" '
-             'viewBox="0 0 %.1f %.1f">' % (w, h, w, h)]
-    if g is not None:
-        u, v = g.edge_array.T
-        ends = np.stack([sx(pts[u, 0]), sy(pts[u, 1]),
-                         sx(pts[v, 0]), sy(pts[v, 1])], axis=1)
-        parts += ['<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
-                  'stroke="#888" stroke-width="1"/>' % tuple(e)
-                  for e in ends.tolist()]
-    for i, (x, y) in enumerate(pts.tolist()):
-        parts.append('<circle cx="%.2f" cy="%.2f" r="4" fill="#c22"/>'
-                     % (sx(x), sy(y)))
-        parts.append('<text x="%.2f" y="%.2f" font-size="11">%d</text>'
-                     % (sx(x) + 6, sy(y) - 6, i))
-    # 1-unit scale bar, bottom left
-    by = h - 0.15 * scale
-    parts.append('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
-                 'stroke="#000" stroke-width="2"/>'
-                 % (0.1 * scale, by, 1.1 * scale, by))
-    parts.append('<text x="%.2f" y="%.2f" font-size="12">1 unit</text>'
-                 % (0.1 * scale, by - 5))
-    parts.append("</svg>\n")
-    return "\n".join(parts)
-
-
 CHI_BUDGET_HELP = ("seconds for the whole chromatic solve: the clique, "
                    "independence-number and coloring searches share it "
                    "(default %(default)s)")
@@ -294,12 +236,6 @@ def build_parser():
     o.add_argument("--norm", default="2")
     o.add_argument("-o", "--output", required=True)
     o.set_defaults(func=cmd_optimize)
-
-    p = sub.add_parser("plot", help="emit an SVG scatter of a realization")
-    p.add_argument("realization")
-    p.add_argument("graph", nargs="?", default=None)
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_plot)
     return ap
 
 

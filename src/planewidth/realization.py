@@ -81,6 +81,7 @@ def evaluate(g, r, tol=1e-9):
     """Width, minimum edge distance, and a validity verdict.
 
     An edge is valid when its length is at least 1 - tol; tol must be below 1.
+    A float overflow is a ParameterError (it can leave a finite, wrong width).
     """
     if not tol < 1.0:
         raise ParameterError("tol must be a number below 1, got %r" % tol)
@@ -90,8 +91,13 @@ def evaluate(g, r, tol=1e-9):
     if g.n == 0:
         return Evaluation(0.0, math.inf, True)
     arr = r.coords
-    width, _ = diameter(arr, r.norm)
-    d = edge_lengths(arr, g.edge_array, r.norm)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            width, _ = diameter(arr, r.norm)
+            d = edge_lengths(arr, g.edge_array, r.norm)
+    except FloatingPointError:
+        raise ParameterError("realization width overflows the float "
+                             "range") from None
     min_d = float(d.min(initial=math.inf))
     if min_d < 1.0 - tol:
         # the first violating edge in sorted order

@@ -151,10 +151,20 @@ def test_optimizer_mechanism_can_win():
 
 
 def test_invalid_witness_rejected():
-    g = complete(3)
-    bad = Realization(((0.0, 0.0), (0.2, 0.0), (0.0, 0.2)))
-    with pytest.raises(ParameterError):
-        pw_interval(g, witness=bad)
+    # too short an edge; a width past the float range, for 2 points (1e200
+    # squared) and for 72 with a unit edge (the hull's cross products
+    # overflow; ignored, they give a finite width 19% short)
+    rng = np.random.default_rng(2)
+    far = Realization(np.vstack([[[0.0, 0.0], [1.0, 0.0]],
+                                 1e200 * rng.normal(size=(70, 2))]))
+    for g, bad, fragment in [
+            (complete(3), Realization(((0.0, 0.0), (0.2, 0.0), (0.0, 0.2))),
+             "not a valid realization"),
+            (complete(2), Realization(((0.0, 0.0), (1e200, 0.0))),
+             "overflows the float range"),
+            (graph_from_edges(72, [(0, 1)]), far, "overflows the float range")]:
+        with pytest.raises(ParameterError, match=fragment):
+            pw_interval(g, witness=bad)
 
 
 def test_edgeless_graph_rejected():

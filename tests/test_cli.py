@@ -1,14 +1,15 @@
-"""Command-line surface: verbs, formats, exit codes, SVG output."""
+"""Command-line surface: verbs, formats, exit codes."""
 
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from planewidth import bounds
-from planewidth.cli import load_graph, main
+from planewidth.cli import build_parser, load_graph, main
 from planewidth.coloring import Coloring, check_proper, chromatic_number
 from planewidth.graphs import complete, odd_wheel, write_edge_list
 from planewidth.realization import Realization, low_dim_realization, \
@@ -209,20 +210,6 @@ def test_optimize_verb_same_seed_same_output(capsys, tmp_path):
         assert fh.read() == first
 
 
-def test_plot_svg(capsys, tmp_path):
-    g = gen_graph(capsys, tmp_path, "complete", 4)
-    rpath = str(tmp_path / "k4.json")
-    run(capsys, "realize", g, "--method", "table", "-o", rpath)
-    spath = str(tmp_path / "k4.svg")
-    code, out, _ = run(capsys, "plot", rpath, g, "-o", spath)
-    assert code == 0
-    with open(spath) as fh:
-        svg = fh.read()
-    assert svg.startswith("<svg")
-    assert "<line" in svg and "<circle" in svg
-    assert "1 unit" in svg
-
-
 def test_dimacs_gen_and_load(capsys, tmp_path):
     path = str(tmp_path / "g.col")
     code, _, _ = run(capsys, "gen", "--family", "petersen",
@@ -400,18 +387,6 @@ def test_gen_non_integer_count(capsys, tmp_path, family, params, fragment):
     assert not os.path.exists(out)
 
 
-def test_plot_size_mismatch(capsys, tmp_path):
-    k5 = gen_graph(capsys, tmp_path, "complete", 5)
-    rpath = str(tmp_path / "k5.json")
-    assert run(capsys, "realize", k5, "--method", "table", "-o", rpath)[0] == 0
-    petersen = gen_graph(capsys, tmp_path, "petersen")
-    spath = str(tmp_path / "p.svg")
-    assert_input_error(run(capsys, "plot", rpath, petersen, "-o", spath),
-                       "realization has 5 points but the graph has 10 "
-                       "vertices")
-    assert not os.path.exists(spath)
-
-
 def test_bounds_angles_without_chi_c(capsys, tmp_path):
     g = write_text(tmp_path, "k3.txt", "n 3\n0 1\n1 2\n0 2\n")
     a = write_text(tmp_path, "angles.txt", "0 0\n1 2\n2 4\n")
@@ -470,6 +445,18 @@ def test_usage_error_is_one_line(capsys, tmp_path, argv, fragment):
     assert not os.path.exists(out)
 
 
+def test_readme_names_every_verb():
+    # the `planewidth <verb>` lines of README's "Command line" block name
+    # exactly the parser's subcommands, so a verb cannot go stale there
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                          "README.md")
+    with open(readme) as fh:
+        block = fh.read().split("## Command line", 1)[1].split("```")[1]
+    named = set(re.findall(r"^planewidth (\S+)", block, re.M))
+    usage = build_parser().format_usage()
+    assert named == set(re.search(r"\{(.*?)\}", usage).group(1).split(","))
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["bounds", "--help"]])
 def test_help_exits_0(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -522,7 +509,10 @@ EXTREME_ROWS = [
        "overflows the float range") for s in SCHEMES],
     (["verify", "K2", "K2-1E20"], 0, ""),
     (["verify", "K2", "K2-1E20", "--norm", "inf"], 0, ""),
-    (["plot", "K2-1E200", "K2", "-o", "OUT"], 0, ""),
+    *[(["verify", "K2", "K2-1E200", *norm], 1, "overflows the float range")
+      for norm in ([], ["--norm", "3"])],
+    # `plot` names no verb: a usage error
+    (["plot", "K2-1E200", "K2", "-o", "OUT"], 1, "invalid choice"),
     (["gen", "--family", "circle-star", "--params", "2", "1e300", "-o", "OUT"],
      0, ""),
     # a count no Graph can hold, refused before anything is allocated
@@ -545,8 +535,6 @@ EXTREME_ROWS = [
                                               ("V1", "V1-POINT"))],
     *[(["color", g, "--from", r, "--scheme", s, "-o", "OUT"], 0, "")
       for g, r in (("E3", "E3-POINTS"), ("V1", "V1-POINT")) for s in SCHEMES],
-    *[(["plot", r, g, "-o", "OUT"], 0, "") for g, r in (("E3", "E3-POINTS"),
-                                                         ("V1", "V1-POINT"))],
 ]
 
 
