@@ -22,7 +22,6 @@ class ImproperColoringError(CertificateError):
     """Carries a monochromatic edge as a certificate."""
 
     def __init__(self, edge):
-        self.edge = edge
         super().__init__("monochromatic edge %r" % (edge,), witness=edge)
 
 
@@ -82,22 +81,21 @@ def _bits(mask):
         mask ^= low
 
 
-def max_clique(g, deadline=None):
-    """A maximum clique as a sorted vertex list.
+def max_clique(g):
+    """A maximum clique as a sorted vertex list."""
+    return _clique(_masks(g.n, g.edge_array), None)
+
+
+def _clique(adj, deadline, best=()):
+    """max_clique on bitmask adjacency, from the incumbent clique ``best``.
 
     Branch and bound on an explicit stack of [candidates, order, bounds]
     frames: candidates are greedily colored and the color count bounds the
-    clique extension, pruning subtrees that cannot beat the incumbent.  With
-    a ``deadline`` (a ``time.monotonic()`` value) the clock is read at every
-    new frame, once an incumbent exists, and the search stops past it with
-    the largest clique found so far: a maximal clique, of two or more
-    vertices when g has an edge.
+    clique extension, pruning subtrees that cannot beat the incumbent.  Past
+    a ``deadline`` (a ``time.monotonic()`` value, or None), read at each new
+    frame once there is an incumbent, it stops with the largest clique found:
+    a maximal clique, of two or more vertices when there is an edge.
     """
-    return _clique(_masks(g.n, g.edge_array), deadline)
-
-
-def _clique(adj, deadline=None, best=()):
-    """max_clique on bitmask adjacency, from the incumbent clique ``best``."""
 
     def frame(cand_mask):
         # Greedy coloring of the candidate set; returns vertices ordered so

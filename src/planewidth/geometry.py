@@ -131,9 +131,14 @@ def diameter(pts, norm=L2):
         raise ParameterError("diameter of empty set")
     if norm.p == 2.0 and pts.shape[1] == 2 and n > 64:
         return _diameter_calipers(pts)
+    if n > 64 and (norm.p == INF or norm.dim == 1):  # rows peak at extremes
+        ext = pts[np.r_[pts.argmin(axis=0), pts.argmax(axis=0)]]
+        i = int(np.argmax(lp_lengths(pts[:, None] - ext, norm.p).max(axis=1)))
+        row = lp_lengths(pts[i] - pts, norm.p)
+        j = int(np.argmax(row))
+        return float(row[j]), (min(i, j), max(i, j))
     dm = lp_lengths(pts[:, None, :] - pts[None, :, :], norm.p)
-    flat = int(np.argmax(dm))
-    i, j = divmod(flat, n)
+    i, j = divmod(int(np.argmax(dm)), n)
     return float(dm[i, j]), (min(i, j), max(i, j))
 
 

@@ -143,7 +143,7 @@ def _descend(x, edge_index, pairs, beta, mu, p, iters):
     return x, used
 
 
-def optimize(g, cfg=None):
+def optimize(g, cfg):
     """Best feasible witness over deterministic multistart descent.
 
     Each restart draws points uniformly in a square sized to the expected
@@ -153,8 +153,6 @@ def optimize(g, cfg=None):
     restart's result does not depend on the others.  Ties between restarts
     go to the lowest restart index.
     """
-    if cfg is None:
-        cfg = OptimizeConfig()
     if g.m == 0:
         raise ParameterError("optimization needs at least one edge")
     edge_index = g.edge_array

@@ -58,7 +58,7 @@ class Realization:
                 and np.array_equal(self.coords, other.coords))
 
     def __hash__(self):
-        return hash((self.norm, self.points))
+        return hash((self.norm, (self.coords + 0.0).tobytes()))  # -0.0 == 0.0
 
     @property
     def n(self):
@@ -109,23 +109,19 @@ def evaluate(g, r, tol=1e-9):
 def feasibilize(g, r):
     """Scale about the centroid so the minimum edge distance becomes 1.
 
-    Scales up or down; the width scales by the same factor, so the shape is
-    kept.  Identity when the minimum edge distance is within 1e-12 of 1, so
-    the output of a rescale is a fixed point.
+    Divides by the shortest edge as ``evaluate`` measures it, so the shape
+    is kept and an overflow is its ParameterError.  Identity when the minimum
+    edge distance is within 1e-12 of 1, so a rescale is a fixed point.
     """
     if g.m == 0:
         raise ParameterError("feasibilize needs at least one edge")
-    if r.n != g.n:
-        raise ParameterError("realization has %d points for %d vertices"
-                             % (r.n, g.n))
-    arr = r.coords
-    shortest = float(edge_lengths(arr, g.edge_array, r.norm).min())
+    shortest = evaluate(g, r).min_edge_distance
     if shortest == 0.0:
         raise CertificateError("adjacent vertices share a point")
     if abs(shortest - 1.0) <= 1e-12:
         return r
-    centroid = arr.mean(axis=0)
-    return Realization(centroid + (arr - centroid) / shortest, r.norm)
+    centroid = r.coords.mean(axis=0)
+    return Realization(centroid + (r.coords - centroid) / shortest, r.norm)
 
 
 # ---------------------------------------------------------------------------

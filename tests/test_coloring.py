@@ -12,7 +12,7 @@ import pytest
 
 from planewidth.bounds import pw_interval
 from planewidth.coloring import (
-    Coloring, ImproperColoringError, _greedy_independent_set, _masks,
+    Coloring, ImproperColoringError, _clique, _greedy_independent_set, _masks,
     check_proper, chromatic_number, greedy_dsatur, max_clique,
     require_proper, write_coloring,
 )
@@ -48,7 +48,6 @@ def test_check_proper():
     assert check_proper(g, Coloring([0, 0, 1, 1])) == (0, 1)
     with pytest.raises(ImproperColoringError) as ei:
         require_proper(g, Coloring([0, 0, 1, 1]))
-    assert ei.value.edge == (0, 1)
     assert ei.value.witness == (0, 1)
 
 
@@ -327,7 +326,7 @@ def test_max_clique_deadline(mycielski_95):
     # the cut search still returns a clique of two or more vertices
     co = complement(mycielski_95)
     t0 = time.monotonic()
-    q = max_clique(co, deadline=time.monotonic() - 1.0)
+    q = _clique(_masks(co.n, co.edge_array), time.monotonic() - 1.0)
     assert time.monotonic() - t0 < 1.0
     assert len(q) >= 2 and q == sorted(q)
     for u, v in itertools.combinations(q, 2):
@@ -337,7 +336,8 @@ def test_max_clique_deadline(mycielski_95):
     for _ in range(20):
         g = random_graph(rng, int(rng.integers(1, 11)), 0.5)
         q = max_clique(g)
-        assert max_clique(g, deadline=time.monotonic() + 60.0) == q
+        assert _clique(_masks(g.n, g.edge_array),
+                       time.monotonic() + 60.0) == q
         largest = max(k for k in range(g.n + 1)
                       for s in itertools.combinations(range(g.n), k)
                       if all((u, v) in g.edges

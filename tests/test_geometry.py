@@ -1,6 +1,8 @@
 """Norms, diameter computation, and the regular-hexagon enclosure."""
 
 import math
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -115,6 +117,61 @@ def test_diameter_pair_is_sorted():
                     rng.normal(size=(3, 2))[rng.integers(0, 3, n)]):
             _, (i, j) = diameter(pts)
             assert i <= j, (n, i, j)
+
+
+def _dense_diameter(pts, p):
+    """The pairwise pass over all n * n pairs: the largest length and the
+    first pair reaching it in row-major order, sorted."""
+    dm = geometry.lp_lengths(pts[:, None, :] - pts[None, :, :], p)
+    i, j = divmod(int(np.argmax(dm)), len(pts))
+    return float(dm[i, j]), (min(i, j), max(i, j))
+
+
+@pytest.mark.parametrize("norm", [
+    LINF, NormSpec(INF, 1), LINE, NormSpec(1.0, 1), NormSpec(3.0, 1),
+], ids=["linf", "linf-1d", "line", "l1-1d", "l3-1d"])
+def test_diameter_over_64_points_matches_dense_pass(norm):
+    # above 64 points the line and the max norm find the farthest row
+    # through the coordinate extremes; the width bits and the pair must be
+    # those of the dense pass
+    rng = np.random.default_rng(6401)
+    for trial in range(120):
+        n = int(rng.integers(65, 201))
+        shape = (n, norm.dim)
+        # the last set has two lengths that rounding ties at 2**53 + 4, the
+        # first of them from a point that is no coordinate extreme
+        tied = np.zeros(shape)
+        tied[:3] = np.array([[-1.0], [2.0**53 + 2], [2.0**53 + 4]])
+        pts = [rng.normal(size=shape) * rng.uniform(0.5, 3.0),
+               rng.integers(0, 4, size=shape).astype(float),  # heavy ties
+               rng.integers(-3, 3, size=shape) * 0.5 + 1e16,
+               rng.normal(size=shape) * 1e3 + rng.uniform(1e15, 1e16),
+               np.full(shape, -2.5), tied][trial % 6]
+        w, pair = diameter(pts, norm)
+        ref_w, ref_pair = _dense_diameter(pts, norm.p)
+        assert (w.hex(), pair) == (ref_w.hex(), ref_pair), (trial, n)
+        assert all(isinstance(k, int) for k in pair)
+
+
+def test_diameter_of_100000_points_on_the_line_and_in_the_max_norm():
+    # linear memory: the dense pass would need tens of gigabytes here, so
+    # 5,000 points must first stay far below its 600 MB
+    rng = np.random.default_rng(64)
+    for n, limit in [(5_000, 5e6), (100_000, 1e8)]:
+        for norm in (LINE, LINF):
+            pts = rng.normal(size=(n, norm.dim))
+            tracemalloc.start()
+            t0 = time.perf_counter()
+            w, (i, j) = diameter(pts, norm)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < limit and elapsed < 1.0, (n, norm, peak, elapsed)
+            spans = pts.max(axis=0) - pts.min(axis=0)
+            c = int(np.argmax(spans))
+            assert w == spans[c]
+            assert (i, j) == tuple(sorted((int(pts[:, c].argmin()),
+                                           int(pts[:, c].argmax()))))
 
 
 def test_convex_hull_square():

@@ -33,6 +33,23 @@ def square_realization():
     return Realization(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
 
 
+def test_equal_realizations_hash_equal():
+    # equality is np.array_equal on the coordinates, so -0.0 equals 0.0
+    pairs = [
+        (Realization([[0.0, -0.0], [1.0, 2.5]]),
+         Realization(np.array([[-0.0, 0.0], [1.0, 2.5]]))),
+        (Realization(((0, 0), (1, 0))), Realization([[0.0, 0], [1.0, 0]])),
+        (Realization([[-0.0], [3.0]], LINE),
+         Realization([[0.0], [3.0]], LINE)),
+        (Realization(np.empty((0, 2))), Realization([])),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+    assert Realization([[0.0, 0.0]], LINF) != Realization([[0.0, 0.0]])
+    assert Realization([[0.0], [1.0]], LINE) != Realization([[0.0, 1.0]])
+
+
 def test_evaluate_square():
     ev = evaluate(complete(4), square_realization())
     assert ev.valid
@@ -185,6 +202,12 @@ def test_feasibilize_rescales_to_unit_shortest_edge(start):
 def test_feasibilize_coincident_adjacent_rejected():
     with pytest.raises(CertificateError, match="share a point"):  # exit 2
         feasibilize(complete(2), Realization(((1.0, 1.0), (1.0, 1.0))))
+    # an edge length past the float range is an input error, not a rescale
+    # by inf that puts both vertices on one point
+    for pts, norm in [([[0.0, 0.0], [1e200, 0.0]], L2),
+                      ([[0.0, 0.0], [1e5, 0.0]], NormSpec(64.0, 2))]:
+        with pytest.raises(ParameterError, match="overflows the float range"):
+            feasibilize(complete(2), Realization(pts, norm))
 
 
 def test_known_complete_arrangements():
@@ -279,14 +302,14 @@ def test_from_coloring_improper_rejected():
 
 def test_improper_coloring_is_the_certificate_error():
     # one proper-colouring check: the coloring module's error, carrying the
-    # edge as both its edge and its witness
+    # edge as its witness
     assert CertificateError is graphs.CertificateError
     for build in (lambda g, c: from_coloring(g, c),
                   lambda g, c: low_dim_realization(g, c, "linf-grid")):
         with pytest.raises(ImproperColoringError) as ei:
             build(cycle(4), Coloring([0, 1, 1, 0]))
         assert isinstance(ei.value, CertificateError)
-        assert ei.value.edge == ei.value.witness == (0, 3)
+        assert ei.value.witness == (0, 3)
         assert str(ei.value) == "monochromatic edge (0, 3)"
 
 

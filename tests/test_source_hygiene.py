@@ -293,3 +293,70 @@ def test_unread_parameters_sees_only_unread_names():
     # a read in a nested function counts; a lambda is not checked
     assert unread_parameters(tree) == [(2, "m", "b"), (2, "m", "opts"),
                                        (2, "m", "rest"), (8, "k", "x")]
+
+
+def name_reads(tree, names, attrs=()):
+    """(line, function, name) for each read of a name in ``names`` (a
+    ``Name`` load or an attribute load) or in ``attrs`` (an attribute load
+    only), with its innermost enclosing function ('' at module level).  The
+    body of a ``def`` of a listed name is not searched, so a definition may
+    read itself and its fellow names."""
+    listed = set(names) | set(attrs)
+    found, stack = [], [(tree, "")]
+    while stack:
+        node, func = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name in listed:
+                continue
+            func = node.name
+        if (isinstance(node, ast.Attribute) and node.attr in listed
+                and isinstance(node.ctx, ast.Load)):
+            found.append((node.lineno, func, node.attr))
+        elif (isinstance(node, ast.Name) and node.id in names
+              and isinstance(node.ctx, ast.Load)):
+            found.append((node.lineno, func, node.id))
+        stack.extend((child, func) for child in ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def _src_trees():
+    return {path.stem: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def test_only_evaluate_measures_edge_lengths():
+    # one measurement path: every other caller goes through evaluate, and
+    # so inherits its shape check and its overflow refusal
+    readers = sorted({(module, func)
+                      for module, tree in _src_trees().items()
+                      for _, func, _ in name_reads(tree, {"edge_lengths"})})
+    assert readers == [("realization", "evaluate")]
+
+
+def test_no_src_code_reads_the_pinned_views():
+    # geometry.distance, Graph.edges, Graph.sorted_edges and
+    # Realization.points stay only because bench/ reads them by name, so
+    # deleting them must move no src code
+    problems = ["%s.py:%d %s() reads %r" % (module, line, func, name)
+                for module, tree in _src_trees().items()
+                for line, func, name in name_reads(
+                    tree, {"distance"}, {"points", "edges", "sorted_edges"})]
+    assert problems == []
+
+
+def test_name_reads_sees_only_reads_outside_listed_defs():
+    tree = ast.parse(
+        "from m import a\n"
+        "b = a\n"
+        "def a(x):\n"
+        "    return a(x.a)\n"
+        "def f(obj, p):\n"
+        "    obj.a = 1\n"
+        "    def g():\n"
+        "        return obj.a() + obj.p\n"
+        "    a = p\n"
+        "    return 'a'\n")
+    # an import, a store, a string and a listed def's own body are no
+    # reads, nor is a bare name that is listed as an attribute only
+    assert name_reads(tree, {"a"}, {"p"}) == [
+        (2, "", "a"), (8, "g", "a"), (8, "g", "p")]
