@@ -15,6 +15,7 @@ from .graphs import InternalConsistencyError, ParameterError
 
 INF = float("inf")
 SQRT3 = math.sqrt(3.0)
+_TINY = np.finfo(float).tiny     # the least normal float
 
 
 @dataclass(frozen=True)
@@ -35,16 +36,19 @@ LINE = NormSpec(2.0, 1)
 
 
 def lp_lengths(diff, p):
-    """Reduce a (..., dim) difference array to (...) lp lengths."""
+    """Reduce a (..., dim) difference array to (...) lp lengths.  For p = 2
+    the squared columns are added explicitly: numpy sums 1 or 2 elements as
+    a + b too, and the adds cost a fraction of a reduction over the axis."""
     if p == 2.0:
-        return np.sqrt((diff * diff).sum(axis=-1))
+        sq = [diff[..., k] * diff[..., k] for k in range(diff.shape[-1])]
+        return np.sqrt(sum(sq[1:], sq[0]))
     d = np.abs(diff)
     if p == INF:
         return d.max(axis=-1)
     s = (d ** p).sum(axis=-1)
     lengths = np.power(s, 1.0 / p)
-    low = s < np.finfo(float).tiny
-    if np.any(low):
+    low = s < _TINY
+    if low.any():
         # the sum underflowed (3e-6 ** 64 is 0): scale those rows by their max
         m = d.max(axis=-1, keepdims=True)
         scaled = m[..., 0] * np.power(

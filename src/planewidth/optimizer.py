@@ -36,8 +36,11 @@ class OptimizeConfig:
     norm: NormSpec = L2
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ParameterError("restarts must be >= 1")
+        for name, low in (("restarts", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise ParameterError("%s must be an integer >= %d, got %r"
+                                     % (name, low, value))
 
 
 @dataclass(frozen=True)
@@ -50,8 +53,8 @@ class OptimizeResult:
 
 def _pair_index(n, edge_index):
     """Pairs i < j in ``triu_indices`` order, each edge's position among
-    them, and the (n, P) incidence matrix (+1 at i, -1 at j) that scatters
-    pair contributions back onto the points."""
+    them, the (n, P) incidence matrix (+1 at i, -1 at j) that scatters
+    pair contributions back onto the points, and a 0/1 edge mask."""
     iu, ju = np.triu_indices(n, k=1)
     u = np.minimum(edge_index[:, 0], edge_index[:, 1])
     v = np.maximum(edge_index[:, 0], edge_index[:, 1])
@@ -60,7 +63,7 @@ def _pair_index(n, edge_index):
     k = np.arange(len(iu))
     inc[iu, k] = 1.0
     inc[ju, k] = -1.0
-    return iu, ju, pos, inc
+    return iu, ju, pos, inc, np.bincount(pos, minlength=len(iu)) * 1.0
 
 
 def objective_and_grad(x, edge_index, beta, mu, p=2.0, pairs=None):
@@ -72,21 +75,22 @@ def objective_and_grad(x, edge_index, beta, mu, p=2.0, pairs=None):
     Objective: softmax_beta over the n(n-1)/2 pairwise distances plus
     mu * sum over edges of max(0, 1 - dist)^2.  Returns a float and an
     (n, dim) gradient, or (R,) values and an (R, n, dim) gradient.
+    The hinge is masked to the edges, so it folds into the pair weights.
     """
     if pairs is None:
         pairs = _pair_index(x.shape[-2], edge_index)
-    iu, ju, pos, inc = pairs
-    # np.take keeps the result C-ordered, so every sum over pairs runs in
+    iu, ju, pos, inc, on_edge = pairs
+    # take keeps the result C-ordered, so every sum over pairs runs in
     # the same order for a lone restart as for a row of a batch
-    diff = np.take(x, iu, axis=-2) - np.take(x, ju, axis=-2)
+    diff = x.take(iu, axis=-2) - x.take(ju, axis=-2)
     d = np.maximum(lp_lengths(diff, p), _TIE_EPS)
     m = d.max(axis=-1)
     ex = np.exp(beta * (d - m[..., None]))
     s = ex.sum(axis=-1)
-    w = ex / s[..., None]
-    h = np.maximum(1.0 - np.take(d, pos, axis=-1), 0.0)
+    hinge = np.maximum(1.0 - d, 0.0) * on_edge
+    h = hinge.take(pos, axis=-1)
     f = m + np.log(s) / beta + mu * (h * h).sum(axis=-1)
-    w[..., pos] -= 2.0 * mu * h             # the hinge, folded into the weights
+    w = ex / s[..., None] - (2.0 * mu) * hinge
 
     # d(dist_ij)/d(x_i) for the lp norm; bounded, since |diff| <= d
     if p == 2.0:
@@ -101,46 +105,63 @@ def _descend(x, edge_index, pairs, beta, mu, p, iters):
     """Backtracking gradient descent on an (R, n, dim) batch of restarts.
 
     Each restart keeps its own step and Armijo test and stops on its own:
-    squared gradient norm below 1e-24, ``_HALVINGS`` halvings without a
-    decrease, or a step that gains less than ``_TOL``.  One objective call
-    tries the next ``_LADDER`` halvings t, t/2, t/4 of every pending restart
-    at once, and each takes the first that passes: the step one halving per
-    call would take, since t * 2**-j is exact and the rows of a batch are
-    independent.  Returns (x, iterations used per restart).
+    squared gradient norm below 1e-24 (counting one more iteration),
+    ``_HALVINGS`` halvings without a decrease, or a step that gains less
+    than ``_TOL``.  One objective call tries the next ``_LADDER`` halvings
+    t, t/2, t/4 of every pending restart at once, and each takes the first
+    that passes: the step one halving per call would take, since t * 2**-j
+    is exact and the rows of a batch are independent.  The arrays hold the
+    live restarts only, in row order, and each iteration's first call
+    covers them all; those that fail all its rungs go on to a subset.
+    Returns (x, iterations used per restart).
     """
-    x = x.copy()
+    out, used = np.empty_like(x), np.full(len(x), iters)
+    live = np.arange(len(x))            # the rows in x of the live restarts
+    first, rungs = _LADDER * live, 0.5 ** np.arange(_LADDER)
     f, g = objective_and_grad(x, edge_index, beta, mu, p, pairs)
-    gn2 = (g.reshape(len(x), -1) ** 2).sum(axis=1)
-    step = np.full(len(x), 0.1)
-    used = np.zeros(len(x), dtype=int)
-    live = np.arange(len(x))
-    rungs = 0.5 ** np.arange(_LADDER)
-    for _ in range(iters):
-        if not len(live):
-            break
-        used[live] += 1
-        live = live[gn2[live] >= 1e-24]
-        gain = np.full(len(x), -np.inf)        # -inf: no step accepted
-        rows, t = live, step[live]             # restarts still backtracking
-        for _ in range(_HALVINGS // _LADDER):
-            if not len(rows):
+    step, gain = np.full(len(x), 0.1), np.full(len(x), np.inf)
+
+    def attempt(x, g, f, gn2, t):
+        """Which rows pass at a rung of t, and their state at the first."""
+        tr = t[:, None] * rungs
+        xn = (x[:, None] - tr[..., None, None] * g[:, None]
+              ).reshape(-1, *x.shape[1:])
+        fn, gn = objective_and_grad(xn, edge_index, beta, mu, p, pairs)
+        ok = fn.reshape(tr.shape) <= f[:, None] - 1e-4 * tr * gn2[:, None]
+        pick = first[:len(t)] + ok.argmax(axis=1)
+        return (ok.any(axis=1), xn[pick], fn[pick], gn[pick],
+                np.minimum(tr.ravel()[pick] * 2.0, 10.0))
+
+    for it in range(iters):
+        gn2 = (g.reshape(len(x), -1) ** 2).sum(axis=1)
+        went_on = gain >= _TOL          # did not stop in the last iteration
+        keep = went_on & (gn2 >= 1e-24)  # a stop here counts this iteration
+        if not keep.all():
+            stop = ~keep
+            out[live[stop]], used[live[stop]] = x[stop], it + went_on[stop]
+            live, x, f, g, gn2, step = (a[keep] for a in
+                                        (live, x, f, g, gn2, step))
+            if not len(live):
                 break
-            tr = t[:, None] * rungs                         # (k, _LADDER)
-            xn = (x[rows][:, None] - tr[..., None, None] * g[rows][:, None]
-                  ).reshape(-1, *x.shape[1:])
-            fn, gn = objective_and_grad(xn, edge_index, beta, mu, p, pairs)
-            ok = fn.reshape(tr.shape) <= (f[rows][:, None]
-                                          - 1e-4 * tr * gn2[rows][:, None])
-            passed = ok.any(axis=1)
-            pick = passed.nonzero()[0] * _LADDER + ok.argmax(axis=1)[passed]
-            done = rows[passed]
-            gain[done] = f[done] - fn[pick]
-            x[done], f[done], g[done] = xn[pick], fn[pick], gn[pick]
-            gn2[done] = (gn.reshape(len(gn), -1) ** 2).sum(axis=1)[pick]
-            step[done] = np.minimum(tr.ravel()[pick] * 2.0, 10.0)
-            rows, t = rows[~passed], t[~passed] * 0.5 ** _LADDER
-        live = live[gain[live] >= _TOL]
-    return x, used
+        passed, xn, fn, gn, tn = attempt(x, g, f, gn2, step)
+        gain = f - fn
+        if not passed.all():
+            rows = (~passed).nonzero()[0]       # failed every rung so far
+            gain[rows], xn[rows], t = -np.inf, x[rows], step[rows]
+            for _ in range(_HALVINGS // _LADDER - 1):
+                t = t * 0.5 ** _LADDER
+                ok, xs, fs, gs, ts = attempt(x[rows], g[rows], f[rows],
+                                             gn2[rows], t)
+                done = rows[ok]
+                gain[done] = f[done] - fs[ok]
+                xn[done], fn[done], gn[done], tn[done] = (
+                    xs[ok], fs[ok], gs[ok], ts[ok])
+                rows, t = rows[~ok], t[~ok]
+                if not len(rows):
+                    break
+        x, f, g, step = xn, fn, gn, tn
+    out[live] = x
+    return out, used
 
 
 def optimize(g, cfg):

@@ -521,6 +521,10 @@ EXTREME_ROWS = [
     # arguments that would otherwise be ignored
     (["bounds", "K2", "--chi-c", "3"], 1, "--chi-c requires --angles"),
     (["bounds", "K2", "--opt-restarts", "-3"], 1, "opt_restarts must be >= 0"),
+    (["bounds", "K2", "--opt-restarts", "2", "--seed", "-1"], 1,
+     "seed must be an integer >= 0"),
+    (["optimize", "K2", "--seed", "-1", "-o", "OUT"], 1,
+     "seed must be an integer >= 0"),
     # an edgeless graph and a one-vertex graph through every verb
     (["gen", "--family", "complete", "--params", "1", "-o", "OUT"], 0, ""),
     *[(["bounds", g], 1, "at least one edge") for g in ("E3", "V1")],

@@ -7,11 +7,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planewidth import geometry
 from planewidth.geometry import (
     INF, L2, LINE, LINF, NormSpec, convex_hull, diameter, distance,
-    edge_lengths, pal_hexagon,
+    edge_lengths, lp_lengths, pal_hexagon,
 )
 from planewidth.graphs import InternalConsistencyError, ParameterError
 
@@ -30,6 +31,31 @@ def test_norm_validation():
                  lambda: diameter(np.empty((0, 2))), lambda: pal_hexagon([])]:
         with pytest.raises(ParameterError):
             make()
+
+
+#: coordinate differences from 1e-200 to 1e150 in magnitude, either sign,
+#: and both zeros
+_COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda m, e, s: s * m * 10.0 ** e, st.floats(1.0, 9.99),
+              st.integers(-200, 149), st.sampled_from([1.0, -1.0])))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 2), st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       st.data())
+def test_l2_lengths_match_the_axis_sum(dim, batch, data):
+    """At p = 2 the explicit column adds give the bits of the reduction
+    over the last axis, on the line and in the plane, for batches of 1 to
+    3 axes."""
+    shape = (*batch, dim)
+    size = math.prod(shape)
+    diff = np.array(data.draw(st.lists(_COORDS, min_size=size,
+                                       max_size=size))).reshape(shape)
+    got = lp_lengths(diff, 2.0)
+    want = np.sqrt((diff * diff).sum(axis=-1))
+    assert got.shape == want.shape == tuple(batch)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("call", [

@@ -7,7 +7,7 @@ import pytest
 
 from planewidth import optimizer
 from planewidth.coloring import greedy_dsatur
-from planewidth.geometry import LINF, lp_lengths
+from planewidth.geometry import LINE, LINF, NormSpec, lp_lengths
 from planewidth.graphs import (
     ParameterError, complete, cycle, graph_from_edges, odd_wheel,
 )
@@ -26,6 +26,18 @@ def small_cfg(restarts=6, seed=0):
 def test_config_validation():
     with pytest.raises(ParameterError):
         OptimizeConfig(restarts=0)
+    assert OptimizeConfig(restarts=np.int64(2), seed=np.int64(0)).restarts == 2
+
+
+@pytest.mark.parametrize("kwargs, fragment", [
+    ({"restarts": 2.5}, "restarts must be an integer >= 1"),
+    ({"restarts": "3"}, "restarts must be an integer >= 1"),
+    ({"seed": 1.0}, "seed must be an integer >= 0"),
+    ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+])
+def test_config_rejects_bad_restarts_and_seed(kwargs, fragment):
+    with pytest.raises(ParameterError, match=fragment):
+        OptimizeConfig(**kwargs)
 
 
 def test_optimize_k2_exact():
@@ -355,6 +367,38 @@ def test_ladder_halvings_in_order(monkeypatch):
     assert used.tolist() == [1, 2]
 
 
+def test_packed_live_set_matches_reference():
+    """Restarts that stop in different iterations, for different reasons,
+    leave the bits and counts of the one-halving-per-call descent: the one
+    on a single point (gradient exactly 0) and the one with a NaN gradient
+    stop in iteration 1, restart 4 gains less than _TOL in iteration 81,
+    and the rest run to the cap."""
+    g = odd_wheel(5)
+    pairs = optimizer._pair_index(g.n, g.edge_array)
+    beta, mu = optimizer._BETAS[0], optimizer._MUS[0]
+    x = np.random.default_rng(3).uniform(0.0, 3.0, size=(8, g.n, 2))
+    x[6] = 1.5
+    x[7, 2, 0] = np.nan
+    assert not objective_and_grad(x[6], g.edge_array, beta, mu)[1].any()
+    counts = {}
+    for rows, iters in [(slice(None), 85), (slice(None), 1), (slice(4, 5), 85),
+                        (slice(6, 7), 85), (slice(4, 5), 80)]:
+        want = reference_descend(x[rows], g.edge_array, pairs, beta, mu, 2.0,
+                                 iters)
+        got = optimizer._descend(x[rows], g.edge_array, pairs, beta, mu, 2.0,
+                                 iters)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.array_equal(got[1], want[1])
+        counts[rows.start, iters] = got
+    assert counts[None, 85][1].tolist() == [85] * 4 + [81, 85, 1, 1]
+    assert counts[None, 1][1].tolist() == [1] * 8
+    # restart 4's last step is accepted, and gains less than _TOL
+    before, last = counts[4, 80][0], counts[4, 85][0]
+    f0 = objective_and_grad(before[0], g.edge_array, beta, mu)[0]
+    f1 = objective_and_grad(last[0], g.edge_array, beta, mu)[0]
+    assert 0.0 < f0 - f1 < optimizer._TOL
+
+
 #: search's optimize operations: (width hex, restart index, iterations),
 #: as the one-halving-per-call descent gave them.
 SEARCH_PINNED = [
@@ -378,3 +422,25 @@ def test_search_results_pinned():
         res = optimize(g, cfg)
         assert (res.width.hex(), res.restart_index, res.iterations) == want, \
             name
+
+
+#: (width hex, restart index, iterations) of optimize with 6 restarts on
+#: the line and at p = 3, as the descent gave them before the live
+#: restarts were packed.
+LINE_AND_P3_PINNED = [
+    ("K_3 line", complete(3), LINE, ("0x1.0000000bed6dbp+1", 0, 168)),
+    ("C_5 line", cycle(5), LINE, ("0x1.0000000c142dbp+1", 4, 442)),
+    ("P_4 line", graph_from_edges(4, [(0, 1), (1, 2), (2, 3)]), LINE,
+     ("0x1.00028bf6fdc5ep+0", 4, 659)),
+    ("K_4 p3", complete(4), NormSpec(3.0, 2), ("0x1.428a2f98d8a64p+0", 3, 127)),
+    ("W_5 p3", odd_wheel(5), NormSpec(3.0, 2), ("0x1.428a63b84fe7fp+0", 3, 524)),
+    ("C_5 p3", cycle(5), NormSpec(3.0, 2), ("0x1.00000018b017cp+0", 2, 400)),
+]
+
+
+@pytest.mark.parametrize("g, norm, want", [row[1:] for row in
+                                           LINE_AND_P3_PINNED],
+                         ids=[row[0] for row in LINE_AND_P3_PINNED])
+def test_line_and_p3_results_pinned(g, norm, want):
+    res = optimize(g, OptimizeConfig(restarts=6, norm=norm))
+    assert (res.width.hex(), res.restart_index, res.iterations) == want
