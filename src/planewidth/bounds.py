@@ -91,6 +91,7 @@ def pw_interval(g, chi_budget=CHI_BUDGET, opt_restarts=0, opt_seed=0,
         raise ParameterError("bounds need at least one edge")
     if opt_restarts < 0:
         raise ParameterError("opt_restarts must be >= 0")
+    OptimizeConfig(seed=opt_seed)       # its seed check, even with no restarts
     chrom = chromatic_number(g, budget=chi_budget)
     r = from_coloring(g, chrom.coloring)
     entries = [(evaluate(g, r).width, r, "coloring")]

@@ -81,7 +81,9 @@ def edge_lengths(pts, edges, norm=L2):
     ``power``; a scalar ``pow`` of the same sum may differ from it by 1 ulp.
     """
     pts = _points(pts, norm.dim)
-    return lp_lengths(pts[edges[:, 0]] - pts[edges[:, 1]], norm.p)
+    diff = np.take(pts, edges[:, 0], axis=0)
+    diff -= np.take(pts, edges[:, 1], axis=0)
+    return lp_lengths(diff, norm.p)
 
 
 def convex_hull(pts):

@@ -58,18 +58,22 @@ class Graph:
             pairs = np.empty((0, 2), dtype=np.intp)
         elif pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
             raise ParameterError("edges must be pairs of integer vertices")
-        lo = np.minimum(pairs[:, 0], pairs[:, 1]).astype(np.intp)
-        hi = np.maximum(pairs[:, 0], pairs[:, 1]).astype(np.intp)
-        bad = (lo < 0) | (lo == hi) | (hi >= n)
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+        bad = (lo < 0) | (lo == hi) | (hi >= n)     # before a uint64 can wrap
         if bad.any():
             e = min(zip(lo[bad].tolist(), hi[bad].tolist()))
             if e[0] == e[1]:
                 raise ParameterError("self-loop %r" % (e,))
             raise ParameterError("edge %r out of range for n=%d" % (e, n))
         # one sort of the keys orders the edges lexicographically
-        keys = np.sort(lo * n + hi)
+        keys = lo.astype(np.intp)
+        keys *= n
+        keys += hi.astype(np.intp, copy=False)
+        keys.sort()
         keys = keys[np.diff(keys, prepend=-1) != 0]
-        arr = np.stack([keys // n, keys % n], axis=1)
+        arr = np.empty((len(keys), 2), np.intp)
+        np.divmod(keys, n, out=(arr[:, 0], arr[:, 1]))
         arr.flags.writeable = False
         object.__setattr__(self, "edge_array", arr)
 
@@ -241,12 +245,10 @@ def write_edge_list(g, path):
 
 
 #: a line of the edge-list grammar, bar the lone count: blank, ``n <count>``
-#: or ``<u> <v>``, each with an optional ``#`` comment.  The searches match
-#: the ``\n`` before a line, which ``re`` finds faster than ``^``; a bad
-#: line is tried against the plain ``<u> <v>`` line before the full one.
+#: or ``<u> <v>``, each with an optional ``#`` comment.  The search matches
+#: the ``\n`` before a line, which ``re`` finds faster than ``^``.
 _EDGE_LIST_LINE = r"[ \t]*(?:(?:n|[+-]?\d+)[ \t]+[+-]?\d+[ \t]*)?(?:#.*)?$"
-_BAD_EDGE_LIST_LINE = re.compile(r"\n(?!\d+ \d+$)(?!%s)" % _EDGE_LIST_LINE,
-                                 re.M | re.A)
+_BAD_EDGE_LIST_LINE = re.compile(r"\n(?!%s)" % _EDGE_LIST_LINE, re.M | re.A)
 _LONE_COUNT = re.compile(r"(?:[ \t]*(?:#.*)?\n)*[ \t]*([+-]?\d+)[ \t]*(?:#.*)?$",
                          re.M | re.A)
 _COUNT = re.compile(r"\n[ \t]*n[ \t]+([+-]?\d+)", re.A)
@@ -264,10 +266,13 @@ def read_edge_list(path):
     """Read an edge list: ``n <count>`` and ``<u> <v>`` lines, ``#`` comments.
 
     A lone ``<count>`` is accepted on the first data line only.  The vertex
-    count is the largest count given or one past the largest endpoint.  The
-    whole file is checked against the grammar first; then the ``n`` lines are
-    cut out and the endpoints parsed in one ``np.fromstring`` call.  An
-    endpoint outside the int64 range is an error that names its line.
+    count is the largest count given or one past the largest endpoint.  A
+    plain line, digits, one space and digits, is told apart by array passes
+    over the file's bytes and needs no other check.  Only the other lines,
+    such as blanks, comments, ``n`` lines, tabs, signs and bad lines, meet
+    the grammar, which names the first bad line, and have their comments and
+    ``n`` lines cut out.  All endpoints are parsed in one ``np.fromstring``
+    call.  An endpoint outside the int64 range is an error naming its line.
     """
     with open(path) as fh:
         text = fh.read()
@@ -275,20 +280,36 @@ def read_edge_list(path):
     lone = _LONE_COUNT.match(text)
     if lone:
         counts, start = [lone.group(1)], lone.end()
-    # a match at i in "\n" + text is the "\n" before the line text[i:]
-    bad = _BAD_EDGE_LIST_LINE.search("\n" + text, start)
+    data = text[start:].encode()
+    b = np.frombuffer(data, np.uint8)
+    at = np.flatnonzero(b - 48 > 9)         # the non-digits: uint8 wraps
+    # line i is data[nl[i] + 1:nl[i + 1]], and at[ends[i] + 1:ends[i + 1]]
+    # are its non-digits bar the "\n"
+    ends = np.concatenate(([-1], np.flatnonzero(b[at] == 10), [len(at)]))
+    nl = np.concatenate(([-1], at[ends[1:-1]], [len(b)]))
+    # a plain line has one non-digit: a space with digits on either side
+    one = np.flatnonzero(np.diff(ends) == 2)
+    sep = at[ends[one] + 1]
+    other = np.ones(len(nl) - 1, bool)
+    other[one[(b[sep] == 32) & (sep - nl[one] > 1)
+              & (nl[one + 1] - sep > 1)]] = False
+    in_rest = np.repeat(other, np.diff(nl))[:-1]  # other lines and "\n"s
+    del at, ends, nl, one, sep    # freed before the parse sets the peak
+    rest = b[in_rest].tobytes().decode()
+    # a match at i in "\n" + rest is the "\n" before the line rest[i:]
+    bad = _BAD_EDGE_LIST_LINE.search("\n" + rest)
     if bad:
-        line = text[bad.start():].split("\n", 1)[0]
+        line = rest[bad.start():].split("\n", 1)[0]
         raise ParameterError(
             "line %d: expected 'n <count>' or '<u> <v>', got %r"
-            % (text.count("\n", 0, bad.start()) + 1,
+            % (text.count("\n", 0, start) + 1
+               + np.flatnonzero(other)[rest.count("\n", 0, bad.start())],
                " ".join(line.partition("#")[0].split())))
-    body = text[start:]
-    if "#" in body:
-        body = re.sub("#.*", "", body)
-    parts = _COUNT.split("\n" + body)
+    if "#" in rest:
+        rest = re.sub("#.*", "", rest)
+    parts = _COUNT.split("\n" + rest)
     count = max(map(_bounded_int, counts + parts[1::2]), default=0)
-    body = " ".join(parts[::2])
+    body = b" ".join([b[~in_rest].tobytes(), " ".join(parts[::2]).encode()])
     if not body or body.isspace():
         return Graph(count)
     pairs = np.fromstring(body, dtype=np.intp, sep=" ").reshape(-1, 2)

@@ -523,6 +523,7 @@ EXTREME_ROWS = [
     (["bounds", "K2", "--opt-restarts", "-3"], 1, "opt_restarts must be >= 0"),
     (["bounds", "K2", "--opt-restarts", "2", "--seed", "-1"], 1,
      "seed must be an integer >= 0"),
+    (["bounds", "K2", "--seed", "-1"], 1, "seed must be an integer >= 0"),
     (["optimize", "K2", "--seed", "-1", "-o", "OUT"], 1,
      "seed must be an integer >= 0"),
     # an edgeless graph and a one-vertex graph through every verb

@@ -343,6 +343,16 @@ def test_edge_list_matches_line_by_line_reference(tmp_path):
     @example("# c\n")
     @example("5\n\n")
     @example("n 4\n# x\n")
+    @example("0 1")
+    @example("0 1\n")
+    @example(" 0 1")
+    @example("0 1 ")
+    @example("0  1")
+    @example("0 1\n 5\n")
+    @example("0 1\n5 \n")
+    @example("0 1\n\n")
+    @example("5\n0 1\n2 3")
+    @example("0 1\n\u0663 1\n")          # an Arabic-Indic digit is no digit
     def check(text):
         expected = reference_read(text)
         if isinstance(expected, int):
@@ -353,6 +363,25 @@ def test_edge_list_matches_line_by_line_reference(tmp_path):
                     == outcome(lambda: Graph(*expected)))
 
     check()
+
+
+def test_edge_list_large_mixed_file(tmp_path):
+    # plain lines with the grammar's other lines at known places: the plain
+    # stretches between them are parsed from the bytes, the rest by the grammar
+    rng = np.random.default_rng(11)
+    u = rng.integers(0, 900, 200_000)
+    v = (u + rng.integers(1, 900, 200_000)) % 900
+    lines = ["%d %d" % e for e in zip(u.tolist(), v.tolist())]
+    for i, line in [(0, "# header"), (1, "n 950"), (2, ""), (999, "7\t8"),
+                    (1000, "# 1 2"), (1001, "9 10  # trailing"), (77_777, ""),
+                    (150_000, "n 3"), (150_001, "+11 -0"),
+                    (199_999, "12 13 # last")]:
+        lines[i] = line
+    text = "\n".join(lines) + "\n"
+    assert write_and_read(tmp_path, text) == Graph(*reference_read(text))
+    lines[150_000] = "0 1 2"
+    with pytest.raises(ParameterError, match="^line 150001: "):
+        write_and_read(tmp_path, "\n".join(lines) + "\n")
 
 
 def test_dimacs_round_trip(tmp_path):
@@ -376,6 +405,18 @@ def test_graph_invariants():
     g = graph_from_edges(3, [(1, 0), (0, 1)])
     assert g.m == 1
     assert Graph(4, frozenset({(3, 1), (2, 0)})).edges == {(1, 3), (0, 2)}
+
+
+def test_graph_range_check_precedes_the_intp_cast():
+    # a uint64 endpoint past the intp range is out of range, not wrapped
+    with pytest.raises(ParameterError, match=r"^edge \(0, 9223372036854775809\) "
+                       "out of range for n=3$"):
+        Graph(3, np.array([[0, 2 ** 63 + 1]], dtype=np.uint64))
+    with pytest.raises(ParameterError, match="out of range"):
+        Graph(3, np.array([[1, 2 ** 64 - 1]], dtype=np.uint64))
+    g = Graph(3, np.array([[2, 0], [1, 2]], dtype=np.uint64))
+    assert g.edge_array.dtype == np.intp and g.edge_array.tolist() == [
+        [0, 2], [1, 2]]
 
 
 def test_graph_error_names_smallest_bad_edge():

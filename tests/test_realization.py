@@ -133,6 +133,13 @@ def test_evaluate_matches_per_edge_loop(norm, tol):
         assert [x.hex() for x in lengths.tolist()] == \
             [distance(r.points[u], r.points[v], norm).hex()
              for u, v in g.sorted_edges()]
+        # strided index arrays: the rows reversed, the columns swapped
+        for view in (g.edge_array[::-1], g.edge_array[:, ::-1]):
+            assert evaluate(Graph(g.n, view), r, tol) == got
+            want = np.array([distance(r.points[u], r.points[v], norm)
+                             for u, v in view.tolist()], dtype=float)
+            assert edge_lengths(r.coords, view, norm).tobytes() == \
+                want.reshape(-1).tobytes()
     check()
 
 

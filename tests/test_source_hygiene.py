@@ -333,6 +333,15 @@ def test_only_evaluate_measures_edge_lengths():
     assert readers == [("realization", "evaluate")]
 
 
+def test_only_read_edge_list_calls_fromstring():
+    # one parse kernel: np.fromstring saturates on overflow, and only
+    # read_edge_list checks its endpoints for that
+    readers = sorted({(module, func)
+                      for module, tree in _src_trees().items()
+                      for _, func, _ in name_reads(tree, {"fromstring"})})
+    assert readers == [("graphs", "read_edge_list")]
+
+
 def test_no_src_code_reads_the_pinned_views():
     # geometry.distance, Graph.edges, Graph.sorted_edges and
     # Realization.points stay only because bench/ reads them by name, so
