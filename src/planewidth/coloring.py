@@ -86,7 +86,7 @@ def max_clique(g):
     return _clique(_masks(g.n, g.edge_array), None)
 
 
-def _clique(adj, deadline, best=()):
+def _clique(adj, deadline, best=(), goal=math.inf):
     """max_clique on bitmask adjacency, from the incumbent clique ``best``.
 
     Branch and bound on an explicit stack of [candidates, order, bounds]
@@ -94,7 +94,8 @@ def _clique(adj, deadline, best=()):
     clique extension, pruning subtrees that cannot beat the incumbent.  Past
     a ``deadline`` (a ``time.monotonic()`` value, or None), read at each new
     frame once there is an incumbent, it stops with the largest clique found:
-    a maximal clique, of two or more vertices when there is an edge.
+    a maximal clique, of two or more vertices when there is an edge.  It
+    also stops as soon as a new incumbent has ``goal`` or more vertices.
     """
 
     def frame(cand_mask):
@@ -131,6 +132,8 @@ def _clique(adj, deadline, best=()):
         if not sub:
             if len(clique) + 1 > len(best):
                 best = clique + [v]
+                if len(best) >= goal:
+                    break
             continue
         if deadline is not None and best and time.monotonic() > deadline:
             break
@@ -200,11 +203,14 @@ def _exact_chromatic(g, lower, deadline):
     The next vertex has the most distinct colors among its neighbours, then
     the highest degree, then the lowest index; it takes the lowest color
     first, so the first leaf is the DSATUR heuristic coloring.  Relabelled
-    by that rank (degree, then lowest index), vertices are bits: the next
-    one is the top bit of the highest non-empty sat[s], the uncolored
-    vertices with s forbidden colors; colmask[c] holds the vertices where c
-    is forbidden.  Coloring v moves the neighbours it newly forbids up one
-    level, and undoing it moves them back down.
+    by that rank (degree, then lowest index), vertices are bits: colmask[c]
+    holds the vertices where c is forbidden, and plane[i] bit i of each
+    vertex's saturation, its count of forbidden colors.  The next vertex is
+    the top bit of the uncolored ones of highest saturation, narrowed plane
+    by plane from the top.  Coloring v adds one to the neighbours it newly
+    forbids by a ripple carry, and undoing it subtracts one by a borrow; a
+    colored vertex keeps its stale bits until it is uncolored again.  A
+    vertex that sees best_k - 1 colors has none free and gets no frame.
 
     The search stops at a coloring with at most ``lower`` colors.  Once it
     has a coloring it reads the clock every 2048 nodes, and past ``deadline``
@@ -215,11 +221,11 @@ def _exact_chromatic(g, lower, deadline):
     rank = np.empty(n, dtype=np.intp)
     rank[np.lexsort((-np.arange(n), degree))] = np.arange(n)
     nbrs = _masks(n, rank[g.edge_array])
-    sat, colmask = [0] * (n + 2), [0] * (n + 1)
-    sat[0] = uncolored = (1 << n) - 1
+    plane, colmask = [0] * (n + 1).bit_length(), [0] * (n + 1)
+    uncolored = (1 << n) - 1
     best_k, best = n + 1, None
     colors = [-1] * n               # read only once every vertex is colored
-    stack = []      # [v, 1 << v, level, used before v, limit, color, touched]
+    stack = []      # [v, 1 << v, used before v, limit, color, touched]
     used = calls = 0                # used: colors used at the node entered
     while True:
         calls += 1
@@ -231,50 +237,45 @@ def _exact_chromatic(g, lower, deadline):
             if best_k <= lower:
                 return [best[i] for i in rank], True
         elif used < best_k:
-            s = used
-            while not sat[s]:
-                s -= 1
-            v = sat[s].bit_length() - 1
-            bit = 1 << v
-            sat[s] ^= bit
-            uncolored ^= bit
-            stack.append([v, bit, s, used, min(used + 1, best_k - 1), -1, 0])
+            pick, s = uncolored, 0  # saturations are at most used
+            for i in range(used.bit_length() - 1, -1, -1):
+                if pick & plane[i]:
+                    pick &= plane[i]
+                    s |= 1 << i
+            if s < best_k - 1:
+                v = pick.bit_length() - 1
+                bit = 1 << v
+                uncolored ^= bit
+                stack.append([v, bit, used, min(used + 1, best_k - 1), -1, 0])
         # undo the top frame's color and move it to its next free color,
         # dropping frames that have none left
         while stack:
             top = stack[-1]
-            v, bit, s, used, limit, c, touched = top
+            v, bit, used, limit, c, touched = top
             colmask[c] ^= touched
-            t = 1
-            while touched:
-                moved = touched & sat[t]
-                if moved:
-                    sat[t] ^= moved
-                    sat[t - 1] |= moved
-                    touched ^= moved
-                t += 1
+            i = 0
+            while touched:          # borrow: minus one where touched
+                plane[i] ^= touched
+                touched &= plane[i]
+                i += 1
             c += 1
             while c < limit and colmask[c] & bit:
                 c += 1
             if c < limit:
                 break
             uncolored |= bit
-            sat[s] |= bit
             stack.pop()
         else:
             return [best[i] for i in rank], True
         colors[v] = c
         touched = nbrs[v] & uncolored & ~colmask[c]
         colmask[c] |= touched
-        top[5:] = c, touched
-        t = used
-        while touched:
-            moved = touched & sat[t]
-            if moved:
-                sat[t] ^= moved
-                sat[t + 1] |= moved
-                touched ^= moved
-            t -= 1
+        top[4:] = c, touched
+        i = 0
+        while touched:              # carry: plus one where touched
+            plane[i] ^= touched
+            touched &= ~plane[i]
+            i += 1
         used = max(used, c + 1)
 
 
@@ -283,12 +284,14 @@ def chromatic_number(g, budget=CHI_BUDGET):
 
     The budget bounds the whole solve: the clique, independence-number and
     coloring searches share one deadline.  With u universal vertices (each
-    adds exactly one color), the lower bound is the clique size, raised to
-    ceil((n - u) / independence number) + u when a greedy independent set
-    leaves room for that to be larger and the independence-number search
-    ends in time.  On timeout the result carries the best (lower, upper)
-    pair plus a witness coloring for the upper bound; ``exact`` says whether
-    the two were proven equal.
+    adds exactly one color), the lower bound is the clique size omega,
+    raised to ceil((n - u) / alpha) + u, alpha the independence number, when
+    a greedy independent set leaves room for that to be larger and the alpha
+    search ends in time.  That search stops once it holds an independent set
+    of ceil((n - u) / (omega - u)) vertices: alpha can no longer raise the
+    bound.  On timeout the result carries the best (lower, upper) pair plus
+    a witness coloring for the upper bound; ``exact`` says whether the two
+    were proven equal.
     """
     if not budget >= 0:
         raise ParameterError("budget must be a nonnegative number of seconds, "
@@ -306,7 +309,9 @@ def _chromatic(g, deadline):
     # the n - u other vertices need ceil((n - u) / alpha) colors of their own
     if n and math.ceil((n - u) / len(independent)) + u > omega:
         co = [full ^ a ^ 1 << v for v, a in enumerate(adj)]
-        alpha = len(_clique(co, deadline, independent))
+        # omega > u here, and alpha >= goal leaves the bound at omega
+        goal = math.ceil((n - u) / (omega - u))
+        alpha = len(_clique(co, deadline, independent, goal))
         # a cut search gives an independent set, not alpha: no bound then
         if time.monotonic() <= deadline:
             lower = max(omega, math.ceil((n - u) / alpha) + u)

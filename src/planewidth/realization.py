@@ -355,9 +355,20 @@ def read_realization(path):
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise ParameterError("realization 'points' must be a list of "
                              "coordinate lists")
+    n = obj.get("n", len(rows))
+    for key, value in (("dim", obj["dim"]), ("n", n)):
+        if type(value) is not int:      # bool, str and float are refused
+            raise ParameterError("realization %r must be an integer, got %r"
+                                 % (key, value))
+    if n != len(rows):
+        raise ParameterError("realization 'n' is %d, but it has %d points"
+                             % (n, len(rows)))
+    if isinstance(obj["norm"], bool):
+        raise ParameterError("realization 'norm' must be a number or \"inf\", "
+                             "got %r" % (obj["norm"],))
     try:
         p = INF if obj["norm"] == "inf" else float(obj["norm"])
-        norm = NormSpec(p, int(obj["dim"]))
+        norm = NormSpec(p, obj["dim"])
         return Realization(rows, norm)
     except TypeError as exc:
         raise ParameterError("malformed realization: %s" % exc) from None

@@ -299,6 +299,21 @@ def test_verify_realization_without_norm(capsys, tmp_path):
     assert_input_error(run(capsys, "verify", g, r), "'norm'")
 
 
+@pytest.mark.parametrize("header, fragment", [
+    ('"n": 7, "norm": 2, "dim": 2', "'n' is 7, but it has 2 points"),
+    ('"norm": 2, "dim": "2"', "'dim' must be an integer, got '2'"),
+    ('"norm": 2, "dim": true', "'dim' must be an integer, got True"),
+    ('"norm": 2, "dim": 2.5', "'dim' must be an integer, got 2.5"),
+    ('"norm": true, "dim": 2', "'norm' must be a number"),
+])
+def test_verify_rejects_malformed_header(capsys, tmp_path, header, fragment):
+    # each of these verified, exit 0, before: "norm": true under the L1 norm
+    g = write_text(tmp_path, "k2.txt", "n 2\n0 1\n")
+    r = write_text(tmp_path, "r.json",
+                   '{%s, "points": [[0, 0], [1, 0]]}' % header)
+    assert_input_error(run(capsys, "verify", g, r), fragment)
+
+
 @pytest.mark.parametrize("angles, fragments", [
     ("0 0\n1 2.0943951023931957\n", ["vertex 2"]),
     ("0 0\n1 2\n2 4\n3 1\n", ["line 4", "vertex 3 out of range"]),

@@ -557,7 +557,7 @@ def test_cut_independence_search_gives_no_bound(monkeypatch):
     g = _trap_graph()
     solve, cut = coloring._clique, []
 
-    def cut_search(adj, deadline=None, best=()):
+    def cut_search(adj, deadline=None, best=(), goal=math.inf):
         if not best:                    # the clique search: left whole
             return solve(adj, deadline)
         cut.append(best)                # the independence-number search
@@ -570,3 +570,79 @@ def test_cut_independence_search_gives_no_bound(monkeypatch):
     assert cut == [[0, 1]]              # seeded with the greedy set
     assert res.lower <= 3
     assert res.exact and res.chi == 3
+
+
+def test_goal_stopped_independence_search_keeps_the_bound(monkeypatch,
+                                                        workloads):
+    # Once the alpha search holds ceil((n - u) / (omega - u)) vertices, the
+    # term ceil((n - u) / alpha) + u can no longer pass omega, so it stops
+    # there.  The coloring search must still get the lower bound that the
+    # unstopped search gives.
+    import planewidth.coloring as coloring
+
+    solve, color = coloring._clique, coloring._exact_chromatic
+    seen = {}
+
+    def spy_search(adj, deadline=None, best=(), goal=math.inf):
+        found = solve(adj, deadline, best, goal)
+        if best:                        # the independence-number search
+            seen["alpha"] = found
+        return found
+
+    def spy_color(g, lower, deadline):
+        seen["lower"] = lower
+        return color(g, lower, deadline)
+
+    monkeypatch.setattr(coloring, "_clique", spy_search)
+    monkeypatch.setattr(coloring, "_exact_chromatic", spy_color)
+    rng = np.random.default_rng(2612)
+    graphs = [random_graph(rng, int(rng.integers(1, 36)),
+                           float(rng.uniform(0.05, 0.9))) for _ in range(100)]
+    # sparse graphs, where a greedy set often falls short of the goal
+    graphs += [random_graph(rng, int(rng.integers(40, 61)),
+                            float(rng.uniform(0.1, 0.3))) for _ in range(40)]
+    # the certify sweep's G(60, 0.2) and G(70, 0.2): alpha 18 = goal on the
+    # latter; and universal vertices, spread by a permutation
+    for n, seed in ((60, 60), (70, 70)):
+        base = workloads.gnp_edges(n, 0.2, seed)
+        for k in (0, 1, 2):
+            g = join(complete(k), Graph(n, base)) if k else Graph(n, base)
+            graphs.append(Graph(g.n, rng.permutation(g.n)[g.edge_array]))
+    for k in (1, 2, 3):
+        for _ in range(10):
+            g = join(complete(k), random_graph(rng, int(rng.integers(1, 26)),
+                                               float(rng.uniform(0.1, 0.9))))
+            graphs.append(Graph(g.n, rng.permutation(g.n)[g.edge_array]))
+    stopped = 0
+    for g in graphs:
+        seen.clear()
+        chromatic_number(g)
+        n, full, adj = g.n, (1 << g.n) - 1, _masks(g.n, g.edge_array)
+        u = sum(a == full ^ 1 << v for v, a in enumerate(adj))
+        omega = len(max_clique(g))
+        co = [full ^ a ^ 1 << v for v, a in enumerate(adj)]
+        alpha = len(solve(co, None, _greedy_independent_set(adj)))
+        assert seen["lower"] == max(omega, math.ceil((n - u) / alpha) + u), g
+        if "alpha" in seen:
+            found = seen["alpha"]
+            goal = math.ceil((n - u) / (omega - u))
+            assert len(found) >= min(goal, alpha), g
+            assert not any((v, w) in g.edges
+                           for v, w in itertools.combinations(found, 2)), g
+            stopped += len(found) >= goal
+    assert stopped >= 10
+
+
+def test_matches_reference_past_four_planes_and_64_vertices(workloads):
+    # K_14 v Groetzsch (chi 18) proves 17 colors too few with saturations
+    # of 16 and more, in a fifth plane; G(70, 0.2) and sparse G(n, p) past
+    # 64 vertices need more than one machine word per plane
+    rng = np.random.default_rng(1964)
+    graphs = [join(complete(14), groetzsch()),
+              join(complete(3), disjoint_union(petersen(), petersen())),
+              Graph(70, workloads.gnp_edges(70, 0.2, 70))]
+    graphs += [random_graph(rng, int(rng.integers(65, 100)),
+                            float(rng.uniform(0.03, 0.1))) for _ in range(6)]
+    for g in graphs:
+        assert _as_tuple(chromatic_number(g)) == _reference_chromatic(g), g
+    assert chromatic_number(graphs[0]).chi == 18

@@ -581,6 +581,12 @@ def test_realization_file_format(tmp_path):
     ({"norm": 2, "dim": 2, "points": 3}, "'points' must be a list"),
     ({"norm": 2, "dim": 2, "points": [0, 1]}, "'points' must be a list"),
     ([[0, 0]], "JSON object"),
+    ({"n": 7, "norm": 2, "dim": 2, "points": [[0, 0], [1, 0], [0, 1]]},
+     "'n' is 7, but it has 3 points"),
+    ({"norm": 2, "dim": "2", "points": [[0, 0]]}, "'dim' must be an integer"),
+    ({"norm": 2, "dim": True, "points": [[0]]}, "'dim' must be an integer"),
+    ({"norm": 2, "dim": 2.5, "points": [[0, 0]]}, "'dim' must be an integer"),
+    ({"norm": True, "dim": 2, "points": [[0, 0]]}, "'norm' must be a number"),
 ])
 def test_read_realization_malformed(tmp_path, obj, message):
     import json
