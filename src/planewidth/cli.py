@@ -168,9 +168,8 @@ def cmd_optimize(args):
     return 0
 
 
-CHI_BUDGET_HELP = ("seconds for the whole chromatic solve: the clique, "
-                   "independence-number and coloring searches share it "
-                   "(default %(default)s)")
+CHI_BUDGET_HELP = ("seconds for the whole chromatic solve: the clique and "
+                   "coloring searches share it (default %(default)s)")
 
 
 class _Parser(argparse.ArgumentParser):

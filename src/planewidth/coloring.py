@@ -2,7 +2,9 @@
 
 Max clique and chromatic number are branch and bound on explicit stacks over
 vertex bitmasks (Python ints), deterministic given the vertex order: ties
-always go to the lowest-index vertex and the lowest color.
+always go to the lowest-index vertex and the lowest color.  The chromatic
+number has one proof: the DSATUR search rules out every coloring with fewer
+colors than its best, and stops early only at the clique size.
 """
 
 from __future__ import annotations
@@ -73,29 +75,20 @@ def _masks(n, pairs):
     return adj
 
 
-def _bits(mask):
-    """The set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def max_clique(g):
     """A maximum clique as a sorted vertex list."""
     return _clique(_masks(g.n, g.edge_array), None)
 
 
-def _clique(adj, deadline, best=(), goal=math.inf):
-    """max_clique on bitmask adjacency, from the incumbent clique ``best``.
+def _clique(adj, deadline):
+    """max_clique on bitmask adjacency.
 
     Branch and bound on an explicit stack of [candidates, order, bounds]
     frames: candidates are greedily colored and the color count bounds the
     clique extension, pruning subtrees that cannot beat the incumbent.  Past
     a ``deadline`` (a ``time.monotonic()`` value, or None), read at each new
     frame once there is an incumbent, it stops with the largest clique found:
-    a maximal clique, of two or more vertices when there is an edge.  It
-    also stops as soon as a new incumbent has ``goal`` or more vertices.
+    a maximal clique, of two or more vertices when there is an edge.
     """
 
     def frame(cand_mask):
@@ -116,7 +109,7 @@ def _clique(adj, deadline, best=(), goal=math.inf):
                 bounds.append(color)
         return [cand_mask, order, bounds]
 
-    best, clique = list(best), []       # clique[i] spawned stack[i + 1]
+    best, clique = [], []               # clique[i] spawned stack[i + 1]
     stack = [frame((1 << len(adj)) - 1)]
     while stack:
         top = stack[-1]
@@ -132,8 +125,6 @@ def _clique(adj, deadline, best=(), goal=math.inf):
         if not sub:
             if len(clique) + 1 > len(best):
                 best = clique + [v]
-                if len(best) >= goal:
-                    break
             continue
         if deadline is not None and best and time.monotonic() > deadline:
             break
@@ -163,38 +154,6 @@ class ChromaticResult:
 def greedy_dsatur(g):
     """DSATUR heuristic coloring: the first leaf of the exact search."""
     return Coloring(_exact_chromatic(g, g.n, math.inf)[0])
-
-
-def _greedy_independent_set(adj):
-    """An independent set of the graph with bitmask adjacency ``adj``,
-    built by taking the live vertex with the fewest live neighbours (ties to
-    the lowest index) until none is left: the low bit of the lowest
-    non-empty bucket[d], the bitmask of live vertices with d live
-    neighbours.
-
-    Its size bounds the independence number from below, so ceil(n / size)
-    bounds ceil(n / alpha) from above: it says when alpha cannot help, and
-    is never a lower bound on the chromatic number itself.
-    """
-    degree = [a.bit_count() for a in adj]
-    bucket = [0] * (len(adj) + 1)
-    for v, d in enumerate(degree):
-        bucket[d] |= 1 << v
-    live, chosen = (1 << len(adj)) - 1, []
-    while live:
-        # the scans cost O(n) in all: each pick removes d + 1 live vertices
-        d = next(d for d, b in enumerate(bucket) if b)
-        v = (bucket[d] & -bucket[d]).bit_length() - 1
-        chosen.append(v)
-        gone = (adj[v] | 1 << v) & live
-        live ^= gone
-        for u in _bits(gone):
-            bucket[degree[u]] ^= 1 << u
-            for w in _bits(adj[u] & live):
-                bucket[degree[w]] ^= 1 << w
-                degree[w] -= 1
-                bucket[degree[w]] |= 1 << w
-    return chosen
 
 
 def _exact_chromatic(g, lower, deadline):
@@ -282,40 +241,19 @@ def _exact_chromatic(g, lower, deadline):
 def chromatic_number(g, budget=CHI_BUDGET):
     """Exact chromatic number within a time budget.
 
-    The budget bounds the whole solve: the clique, independence-number and
-    coloring searches share one deadline.  With u universal vertices (each
-    adds exactly one color), the lower bound is the clique size omega,
-    raised to ceil((n - u) / alpha) + u, alpha the independence number, when
-    a greedy independent set leaves room for that to be larger and the alpha
-    search ends in time.  That search stops once it holds an independent set
-    of ceil((n - u) / (omega - u)) vertices: alpha can no longer raise the
-    bound.  On timeout the result carries the best (lower, upper) pair plus
-    a witness coloring for the upper bound; ``exact`` says whether the two
-    were proven equal.
+    The budget bounds the whole solve: the clique and coloring searches
+    share one deadline.  The clique size omega is the lower bound until the
+    coloring search proves its best coloring optimal by exhausting every
+    coloring with fewer colors.  On timeout the result carries the best
+    (lower, upper) pair plus a witness coloring for the upper bound;
+    ``exact`` says whether the two were proven equal.
     """
     if not budget >= 0:
         raise ParameterError("budget must be a nonnegative number of seconds, "
                              "got %r" % (budget,))
-    return _chromatic(g, time.monotonic() + budget)
-
-
-def _chromatic(g, deadline):
-    n = g.n
-    adj = _masks(n, g.edge_array)
-    full = (1 << n) - 1
-    u = sum(a == full ^ 1 << v for v, a in enumerate(adj))     # universal
-    omega = lower = len(_clique(adj, deadline))
-    independent = _greedy_independent_set(adj)
-    # the n - u other vertices need ceil((n - u) / alpha) colors of their own
-    if n and math.ceil((n - u) / len(independent)) + u > omega:
-        co = [full ^ a ^ 1 << v for v, a in enumerate(adj)]
-        # omega > u here, and alpha >= goal leaves the bound at omega
-        goal = math.ceil((n - u) / (omega - u))
-        alpha = len(_clique(co, deadline, independent, goal))
-        # a cut search gives an independent set, not alpha: no bound then
-        if time.monotonic() <= deadline:
-            lower = max(omega, math.ceil((n - u) / alpha) + u)
-    colors, exact = _exact_chromatic(g, lower, deadline)
+    deadline = time.monotonic() + budget
+    omega = len(_clique(_masks(g.n, g.edge_array), deadline))
+    colors, exact = _exact_chromatic(g, omega, deadline)
     best = Coloring(colors)
-    return ChromaticResult(best.k if exact else lower, best.k, best, exact,
+    return ChromaticResult(best.k if exact else omega, best.k, best, exact,
                            omega)

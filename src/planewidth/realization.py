@@ -363,12 +363,12 @@ def read_realization(path):
     if n != len(rows):
         raise ParameterError("realization 'n' is %d, but it has %d points"
                              % (n, len(rows)))
-    if isinstance(obj["norm"], bool):
+    p = obj["norm"]
+    if p != "inf" and type(p) not in (int, float):  # bool and "2" are refused
         raise ParameterError("realization 'norm' must be a number or \"inf\", "
-                             "got %r" % (obj["norm"],))
+                             "got %r" % (p,))
     try:
-        p = INF if obj["norm"] == "inf" else float(obj["norm"])
-        norm = NormSpec(p, obj["dim"])
+        norm = NormSpec(INF if p == "inf" else float(p), obj["dim"])
         return Realization(rows, norm)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:   # a huge int norm overflows
         raise ParameterError("malformed realization: %s" % exc) from None

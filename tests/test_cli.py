@@ -305,9 +305,15 @@ def test_verify_realization_without_norm(capsys, tmp_path):
     ('"norm": 2, "dim": true', "'dim' must be an integer, got True"),
     ('"norm": 2, "dim": 2.5', "'dim' must be an integer, got 2.5"),
     ('"norm": true, "dim": 2', "'norm' must be a number"),
+    ('"norm": "2", "dim": 2', "'norm' must be a number or \"inf\", got '2'"),
+    ('"norm": "Infinity", "dim": 2', "got 'Infinity'"),
+    ('"norm": "1e0", "dim": 2', "got '1e0'"),
+    ('"norm": " 2 ", "dim": 2', "got ' 2 '"),
+    ('"norm": 1%s, "dim": 2' % ("0" * 400), "int too large"),
 ])
 def test_verify_rejects_malformed_header(capsys, tmp_path, header, fragment):
-    # each of these verified, exit 0, before: "norm": true under the L1 norm
+    # each of these verified, exit 0, before: "norm": true under the L1 norm,
+    # a string norm through float(); a 401-digit norm raised a traceback
     g = write_text(tmp_path, "k2.txt", "n 2\n0 1\n")
     r = write_text(tmp_path, "r.json",
                    '{%s, "points": [[0, 0], [1, 0]]}' % header)

@@ -12,9 +12,9 @@ import pytest
 
 from planewidth.bounds import pw_interval
 from planewidth.coloring import (
-    Coloring, ImproperColoringError, _clique, _greedy_independent_set, _masks,
-    check_proper, chromatic_number, greedy_dsatur, max_clique,
-    require_proper, write_coloring,
+    Coloring, ImproperColoringError, _clique, _masks, check_proper,
+    chromatic_number, greedy_dsatur, max_clique, require_proper,
+    write_coloring,
 )
 from planewidth.graphs import (
     Graph, ParameterError, circulant, circle_star, complement, complete, cycle,
@@ -248,7 +248,7 @@ def test_complement_chromatic_sanity():
 
 
 # ---------------------------------------------------------------------------
-# One deadline over the clique, independence-number and coloring searches
+# One deadline over the clique and coloring searches
 
 
 def _mycielskian(g):
@@ -267,14 +267,12 @@ def _mycielskian(g):
 def mycielski_95():
     """M_7 on 95 vertices: K_2 under five Mycielskians, omega 2, chi 7.
 
-    A greedy independent set leaves ceil(95 / |I|) above omega, so the
-    independence-number search runs, and alone it takes about 10 s."""
+    The coloring search has to rule out every coloring with 6 colors or
+    fewer, far past any budget the tests give it."""
     g = complete(2)
     for _ in range(5):
         g = _mycielskian(g)
     assert (g.n, len(max_clique(g))) == (95, 2)
-    assert math.ceil(g.n / len(_greedy_independent_set(
-        _masks(g.n, g.edge_array)))) > 2
     return g
 
 
@@ -290,30 +288,16 @@ def test_budget_bounds_the_whole_solve(mycielski_95):
 
 
 def test_budget_bounds_the_independence_stage():
-    # 330 disjoint Petersen graphs, 3,300 vertices: the independence-number
-    # search runs on the complement (5.4 M edges) and must stop in time
+    # 330 disjoint Petersen graphs, 3,300 vertices, omega 2: the coloring
+    # search alone proves chi 3 within the budget
     copies = np.arange(330)[:, None, None] * 10
     g = Graph(3300, (petersen().edge_array + copies).reshape(-1, 2))
     t0 = time.monotonic()
     res = chromatic_number(g, budget=0.25)
     assert time.monotonic() - t0 <= 0.25 + 1.0
-    assert res.lower <= 3 <= res.upper
+    assert res.exact and res.chi == 3
     assert check_proper(g, res.coloring) is None
     assert res.coloring.k == res.upper
-
-
-def test_independence_bound_kept_when_its_search_ends_in_time():
-    # M_6 on 47 vertices: omega 2, alpha 23 found in milliseconds, chi 6,
-    # which the coloring search cannot prove in the budget.  The timed-out
-    # result keeps ceil(47 / 23) = 3 as its lower bound.
-    g = complete(2)
-    for _ in range(4):
-        g = _mycielskian(g)
-    assert len(max_clique(complement(g))) == 23
-    res = chromatic_number(g, budget=0.25)
-    assert not res.exact
-    assert (res.lower, res.omega) == (3, 2)
-    assert res.upper >= 6
 
 
 def test_pw_interval_budget_names_chi_timeout(mycielski_95):
@@ -479,22 +463,20 @@ def test_chromatic_coloring_k_is_its_upper_bound(workloads):
 
 
 def _trap_graph():
-    """chi 3, but the greedy independent set gives ceil(n / |I|) = 4."""
+    """chi 3, but a greedy minimum-degree independent set has 2 vertices,
+    so ceil(n / |I|) = 4."""
     return graph_from_edges(7, [(0, 3), (0, 4), (0, 6), (1, 2), (1, 5),
                                 (1, 6), (2, 3), (2, 5), (3, 6), (4, 5),
                                 (4, 6)])
 
 
 def test_greedy_independent_set_is_not_a_chi_bound():
-    # The greedy set takes vertex 0 (degree 3, lowest index), which removes
+    # A greedy set takes vertex 0 (degree 3, lowest index), which removes
     # 3, 4 and 6 and leaves the triangle 1, 2, 5: it ends with two vertices,
     # while {1, 3, 4} is independent.
     g = _trap_graph()
-    greedy_set = _greedy_independent_set(_masks(g.n, g.edge_array))
-    assert greedy_set == [0, 1]
     assert not any((u, v) in g.edges for u, v in [(1, 3), (1, 4), (3, 4)])
-    # ceil(n / |I|) = 4 exceeds chi = 3: the triangle and a 3-coloring
-    assert math.ceil(g.n / len(greedy_set)) == 4
+    # ceil(n / 2) = 4 exceeds chi = 3: the triangle and a 3-coloring
     assert (1, 2) in g.edges and (1, 5) in g.edges and (2, 5) in g.edges
     assert check_proper(g, Coloring([1, 2, 0, 2, 2, 1, 0])) is None
     # DSATUR needs 4 colors, so a solver that took ceil(n / |I|) as a lower
@@ -507,38 +489,8 @@ def test_greedy_independent_set_is_not_a_chi_bound():
         assert check_proper(g, res.coloring) is None
 
 
-def _reference_greedy_independent_set(adj):
-    """The greedy independent set as a loop over Python sets: the live
-    vertex with the fewest live neighbours, then the lowest index, joins
-    the set and leaves with its neighbours, until none is left."""
-    live = set(range(len(adj)))
-    degree = [len(a) for a in adj]
-    chosen = []
-    while live:
-        v = min(live, key=lambda w: (degree[w], w))
-        chosen.append(v)
-        gone = (adj[v] & live) | {v}
-        live -= gone
-        for u in gone:
-            for w in adj[u] & live:
-                degree[w] -= 1
-    return chosen
-
-
-def test_greedy_independent_set_matches_reference_loop():
-    rng = np.random.default_rng(1998)
-    graphs = [random_graph(rng, int(rng.integers(0, 60)),
-                           float(rng.uniform(0.0, 1.0))) for _ in range(300)]
-    graphs += [chi3_copies(1), chi3_copies(40), _trap_graph(),
-               join(complete(1), graph_from_edges(300, [])), complete(7),
-               graph_from_edges(5, [])]
-    for g in graphs:
-        assert _greedy_independent_set(_masks(g.n, g.edge_array)) == \
-            _reference_greedy_independent_set(_adjacency_sets(g)), g
-
-
 def test_zero_budget_on_thousands_of_vertices_is_fast():
-    # 6,600 vertices: the greedy stages and the first DSATUR leaf are
+    # 6,600 vertices: the first clique and the first DSATUR leaf are
     # near-linear, so a zero budget ends well within a second
     g = chi3_copies(600)
     start = time.monotonic()
@@ -546,91 +498,6 @@ def test_zero_budget_on_thousands_of_vertices_is_fast():
     assert time.monotonic() - start < 1.0
     assert check_proper(g, res.coloring) is None
     assert res.lower == 3 and res.upper == res.coloring.k
-
-
-def test_cut_independence_search_gives_no_bound(monkeypatch):
-    # An independence-number search cut by the deadline returns an
-    # independent set, here {0, 1}, smaller than alpha = 3: ceil(7 / 2) = 4
-    # would exceed chi = 3, so the solver must drop the term.
-    import planewidth.coloring as coloring
-
-    g = _trap_graph()
-    solve, cut = coloring._clique, []
-
-    def cut_search(adj, deadline=None, best=(), goal=math.inf):
-        if not best:                    # the clique search: left whole
-            return solve(adj, deadline)
-        cut.append(best)                # the independence-number search
-        while time.monotonic() <= deadline:
-            time.sleep(0.001)
-        return [0, 1]
-
-    monkeypatch.setattr(coloring, "_clique", cut_search)
-    res = chromatic_number(g, budget=0.05)
-    assert cut == [[0, 1]]              # seeded with the greedy set
-    assert res.lower <= 3
-    assert res.exact and res.chi == 3
-
-
-def test_goal_stopped_independence_search_keeps_the_bound(monkeypatch,
-                                                        workloads):
-    # Once the alpha search holds ceil((n - u) / (omega - u)) vertices, the
-    # term ceil((n - u) / alpha) + u can no longer pass omega, so it stops
-    # there.  The coloring search must still get the lower bound that the
-    # unstopped search gives.
-    import planewidth.coloring as coloring
-
-    solve, color = coloring._clique, coloring._exact_chromatic
-    seen = {}
-
-    def spy_search(adj, deadline=None, best=(), goal=math.inf):
-        found = solve(adj, deadline, best, goal)
-        if best:                        # the independence-number search
-            seen["alpha"] = found
-        return found
-
-    def spy_color(g, lower, deadline):
-        seen["lower"] = lower
-        return color(g, lower, deadline)
-
-    monkeypatch.setattr(coloring, "_clique", spy_search)
-    monkeypatch.setattr(coloring, "_exact_chromatic", spy_color)
-    rng = np.random.default_rng(2612)
-    graphs = [random_graph(rng, int(rng.integers(1, 36)),
-                           float(rng.uniform(0.05, 0.9))) for _ in range(100)]
-    # sparse graphs, where a greedy set often falls short of the goal
-    graphs += [random_graph(rng, int(rng.integers(40, 61)),
-                            float(rng.uniform(0.1, 0.3))) for _ in range(40)]
-    # the certify sweep's G(60, 0.2) and G(70, 0.2): alpha 18 = goal on the
-    # latter; and universal vertices, spread by a permutation
-    for n, seed in ((60, 60), (70, 70)):
-        base = workloads.gnp_edges(n, 0.2, seed)
-        for k in (0, 1, 2):
-            g = join(complete(k), Graph(n, base)) if k else Graph(n, base)
-            graphs.append(Graph(g.n, rng.permutation(g.n)[g.edge_array]))
-    for k in (1, 2, 3):
-        for _ in range(10):
-            g = join(complete(k), random_graph(rng, int(rng.integers(1, 26)),
-                                               float(rng.uniform(0.1, 0.9))))
-            graphs.append(Graph(g.n, rng.permutation(g.n)[g.edge_array]))
-    stopped = 0
-    for g in graphs:
-        seen.clear()
-        chromatic_number(g)
-        n, full, adj = g.n, (1 << g.n) - 1, _masks(g.n, g.edge_array)
-        u = sum(a == full ^ 1 << v for v, a in enumerate(adj))
-        omega = len(max_clique(g))
-        co = [full ^ a ^ 1 << v for v, a in enumerate(adj)]
-        alpha = len(solve(co, None, _greedy_independent_set(adj)))
-        assert seen["lower"] == max(omega, math.ceil((n - u) / alpha) + u), g
-        if "alpha" in seen:
-            found = seen["alpha"]
-            goal = math.ceil((n - u) / (omega - u))
-            assert len(found) >= min(goal, alpha), g
-            assert not any((v, w) in g.edges
-                           for v, w in itertools.combinations(found, 2)), g
-            stopped += len(found) >= goal
-    assert stopped >= 10
 
 
 def test_matches_reference_past_four_planes_and_64_vertices(workloads):
@@ -646,3 +513,23 @@ def test_matches_reference_past_four_planes_and_64_vertices(workloads):
     for g in graphs:
         assert _as_tuple(chromatic_number(g)) == _reference_chromatic(g), g
     assert chromatic_number(graphs[0]).chi == 18
+
+
+def test_matches_reference_where_n_over_alpha_passes_omega():
+    # chi > omega on each, so the coloring search must prove chi itself.
+    # On all but the random graph, ceil(n / alpha) > omega too: a bound
+    # that the independence number gives, and the search must prove alone.
+    rng = np.random.default_rng(2028)
+    co_petersen = complement(petersen())
+    graphs = [complement(cycle(n)) for n in (7, 9, 21, 41)]
+    graphs += [circulant(101, 10), circulant(97, 7),
+               join(co_petersen, co_petersen),
+               join(join(co_petersen, co_petersen), co_petersen)]
+    for g in graphs:
+        alpha = len(max_clique(complement(g)))
+        assert math.ceil(g.n / alpha) > len(max_clique(g)), g
+    graphs.append(random_graph(rng, 60, 0.9))
+    for g in graphs:
+        expected = _reference_chromatic(g)
+        assert expected[1] > expected[3], g
+        assert _as_tuple(chromatic_number(g)) == expected, g

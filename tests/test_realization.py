@@ -587,6 +587,11 @@ def test_realization_file_format(tmp_path):
     ({"norm": 2, "dim": True, "points": [[0]]}, "'dim' must be an integer"),
     ({"norm": 2, "dim": 2.5, "points": [[0, 0]]}, "'dim' must be an integer"),
     ({"norm": True, "dim": 2, "points": [[0, 0]]}, "'norm' must be a number"),
+    # strings that float() parses: only a number or exactly "inf" is a norm
+    ({"norm": "2", "dim": 2, "points": [[0, 0]]}, "got '2'"),
+    ({"norm": "Infinity", "dim": 2, "points": [[0, 0]]}, "got 'Infinity'"),
+    ({"norm": "1e0", "dim": 2, "points": [[0, 0]]}, "got '1e0'"),
+    ({"norm": " 2 ", "dim": 2, "points": [[0, 0]]}, "got ' 2 '"),
 ])
 def test_read_realization_malformed(tmp_path, obj, message):
     import json
