@@ -244,14 +244,23 @@ def write_edge_list(g, path):
         fh.write(("%d %d\n" * g.m) % tuple(g.edge_array.ravel().tolist()))
 
 
-#: a line of the edge-list grammar, bar the lone count: blank, ``n <count>``
-#: or ``<u> <v>``, each with an optional ``#`` comment.  The search matches
-#: the ``\n`` before a line, which ``re`` finds faster than ``^``.
-_EDGE_LIST_LINE = r"[ \t]*(?:(?:n|[+-]?\d+)[ \t]+[+-]?\d+[ \t]*)?(?:#.*)?$"
-_BAD_EDGE_LIST_LINE = re.compile(r"\n(?!%s)" % _EDGE_LIST_LINE, re.M | re.A)
-_LONE_COUNT = re.compile(r"(?:[ \t]*(?:#.*)?\n)*[ \t]*([+-]?\d+)[ \t]*(?:#.*)?$",
-                         re.M | re.A)
-_COUNT = re.compile(r"\n[ \t]*n[ \t]+([+-]?\d+)", re.A)
+#: the one integer grammar of both formats: a sign, then ASCII digits
+_INT = r"[+-]?[0-9]+"
+#: each format as ``_read_graph`` unpacks it, its patterns compiled on first
+#: use; ``bad_line`` finds the "\n" before the first bad line (faster than
+#: ``^``) and the text that its error echoes
+_EDGE_LIST = (
+    "", 0, r"(?m)(?:(?:[ \t]*(?:#.*)?\n)*[ \t]*(%s)[ \t]*(?:#.*)?$)?" % _INT,
+    r"(?m)\n(?![ \t]*(?:(?:n|%s)[ \t]+%s[ \t]*)?(?:#.*)?$)([^#\n]*)"
+    % (_INT, _INT),
+    r"#.*|\n[ \t]*n[ \t]+(%s)" % _INT, "'n <count>' or '<u> <v>'",
+    lambda counts, pairs: max(
+        counts + ([int(pairs.max()) + 1] if pairs.size else []), default=0))
+_DIMACS = (
+    "e ", 1, "", r"(?m)\n(?![ \t]*(?:c(?:[ \t].*)?|(?:p[ \t]+\S+|e)[ \t]+%s"
+    r"[ \t]+%s[ \t]*)?$)(.*)" % (_INT, _INT),
+    r"\n[ \t]*(?:c.*|e|p[ \t]+\S+[ \t]+(\S+).*)",
+    "'p edge <n> <m>' or 'e <u> <v>'", lambda counts, _: (counts or [0])[-1])
 
 
 def _bounded_int(tok):
@@ -262,66 +271,74 @@ def _bounded_int(tok):
     return -value if tok[0] == "-" else value
 
 
+def _read_graph(path, form):
+    """The graph in the file ``path`` in ``form``, one of the formats above.
+
+    Plain lines, the lead, then digits, one space and digits, are told apart
+    by array passes over the bytes; only the other lines meet the grammar.
+    All endpoints are parsed in one ``np.fromstring`` call.
+    """
+    lead, base, head, bad_line, cut, expected, vertex_count = form
+    with open(path) as fh:
+        text = fh.read()
+    head = re.match(head, text)
+    b = np.frombuffer(text[head.end():].encode(), np.uint8)
+    at = np.flatnonzero(b - 48 > 9)         # the non-digits: uint8 wraps
+    # line i is b[nl[i] + 1:nl[i + 1]], and at[ends[i] + 1:ends[i + 1]]
+    # are its non-digits bar the "\n"
+    ends = np.concatenate(([-1], np.flatnonzero(b[at] == 10), [len(at)]))
+    nl = np.concatenate(([-1], at[ends[1:-1]], [len(b)]))
+    # a plain line has k + 1 non-digits: the lead, then a space with digits
+    # on either side
+    k = len(lead)
+    one = np.flatnonzero(np.diff(ends) == k + 2)
+    sep = at[ends[one] + k + 1]
+    plain = (b[sep] == 32) & (sep - nl[one] > k + 1) & (nl[one + 1] - sep > 1)
+    for i, byte in enumerate(lead.encode(), 1):
+        plain &= b[nl[one] + i] == byte
+    other = np.ones(len(nl) - 1, bool)
+    other[one[plain]] = False
+    in_rest = np.repeat(other, np.diff(nl))[:-1]  # other lines and "\n"s
+    del at, ends, nl, one, sep, plain   # freed before the parse sets the peak
+    rest = b[in_rest].tobytes().decode()
+    # a match at i in "\n" + rest is the "\n" before the line rest[i:]
+    bad = re.search(bad_line, "\n" + rest)
+    if bad:
+        raise ParameterError("line %d: expected %s, got %r" % (
+            text.count("\n", 0, head.end()) + 1
+            + np.flatnonzero(other)[rest.count("\n", 0, bad.start())],
+            expected, " ".join(bad.group(1).split())))
+    parts = re.split(cut, "\n" + rest)
+    body = b" ".join([b[~in_rest].tobytes().replace(lead.encode(), b" " * k),
+                      " ".join(parts[::2]).encode()])
+    pairs = np.fromstring(b"" if body.isspace() else body, dtype=np.intp,
+                          sep=" ").reshape(-1, 2)
+    if base:
+        pairs -= base
+    top = np.iinfo(np.intp).max
+    # fromstring saturates on overflow, and -2**63 - base wraps round
+    if pairs.size and pairs.max() >= top - base:
+        for pair in re.finditer(r"(?m)^[ \t]*%s[ \t]*(%s)[ \t]+(%s)"
+                                % (lead.strip(), _INT, _INT), text):
+            for tok in pair.groups():
+                if not base - top - 1 <= _bounded_int(tok) <= top:
+                    raise ParameterError("line %d: endpoint %s is out of range"
+                                         % (text.count("\n", 0, pair.start())
+                                            + 1, tok))
+    counts = [_bounded_int(c) for c in head.groups() + tuple(parts[1::2]) if c]
+    # built before the buffers above are freed, so the heap need not regrow
+    return Graph(vertex_count(counts, pairs), pairs)
+
+
 def read_edge_list(path):
     """Read an edge list: ``n <count>`` and ``<u> <v>`` lines, ``#`` comments.
 
     A lone ``<count>`` is accepted on the first data line only.  The vertex
-    count is the largest count given or one past the largest endpoint.  A
-    plain line, digits, one space and digits, is told apart by array passes
-    over the file's bytes and needs no other check.  Only the other lines,
-    such as blanks, comments, ``n`` lines, tabs, signs and bad lines, meet
-    the grammar, which names the first bad line, and have their comments and
-    ``n`` lines cut out.  All endpoints are parsed in one ``np.fromstring``
-    call.  An endpoint outside the int64 range is an error naming its line.
+    count is the largest count given or one past the largest endpoint.
+    Integers are ASCII digits with an optional sign.  The first other line is
+    an error that names it, and so is the first endpoint past int64.
     """
-    with open(path) as fh:
-        text = fh.read()
-    counts, start = [], 0
-    lone = _LONE_COUNT.match(text)
-    if lone:
-        counts, start = [lone.group(1)], lone.end()
-    data = text[start:].encode()
-    b = np.frombuffer(data, np.uint8)
-    at = np.flatnonzero(b - 48 > 9)         # the non-digits: uint8 wraps
-    # line i is data[nl[i] + 1:nl[i + 1]], and at[ends[i] + 1:ends[i + 1]]
-    # are its non-digits bar the "\n"
-    ends = np.concatenate(([-1], np.flatnonzero(b[at] == 10), [len(at)]))
-    nl = np.concatenate(([-1], at[ends[1:-1]], [len(b)]))
-    # a plain line has one non-digit: a space with digits on either side
-    one = np.flatnonzero(np.diff(ends) == 2)
-    sep = at[ends[one] + 1]
-    other = np.ones(len(nl) - 1, bool)
-    other[one[(b[sep] == 32) & (sep - nl[one] > 1)
-              & (nl[one + 1] - sep > 1)]] = False
-    in_rest = np.repeat(other, np.diff(nl))[:-1]  # other lines and "\n"s
-    del at, ends, nl, one, sep    # freed before the parse sets the peak
-    rest = b[in_rest].tobytes().decode()
-    # a match at i in "\n" + rest is the "\n" before the line rest[i:]
-    bad = _BAD_EDGE_LIST_LINE.search("\n" + rest)
-    if bad:
-        line = rest[bad.start():].split("\n", 1)[0]
-        raise ParameterError(
-            "line %d: expected 'n <count>' or '<u> <v>', got %r"
-            % (text.count("\n", 0, start) + 1
-               + np.flatnonzero(other)[rest.count("\n", 0, bad.start())],
-               " ".join(line.partition("#")[0].split())))
-    if "#" in rest:
-        rest = re.sub("#.*", "", rest)
-    parts = _COUNT.split("\n" + rest)
-    count = max(map(_bounded_int, counts + parts[1::2]), default=0)
-    body = b" ".join([b[~in_rest].tobytes(), " ".join(parts[::2]).encode()])
-    if not body or body.isspace():
-        return Graph(count)
-    pairs = np.fromstring(body, dtype=np.intp, sep=" ").reshape(-1, 2)
-    top = int(pairs.max())
-    if top == np.iinfo(np.intp).max:    # fromstring saturates on overflow
-        for pair in re.finditer(r"(?m)^[ \t]*([+-]?\d+)[ \t]+([+-]?\d+)", text):
-            for tok in pair.groups():
-                if not -top - 1 <= _bounded_int(tok) <= top:
-                    lineno = text.count("\n", 0, pair.start()) + 1
-                    raise ParameterError("line %d: endpoint %s is out of "
-                                         "range" % (lineno, tok))
-    return Graph(max(count, top + 1), pairs)
+    return _read_graph(path, _EDGE_LIST)
 
 
 def write_dimacs(g, path):
@@ -332,25 +349,12 @@ def write_dimacs(g, path):
 
 def read_dimacs(path):
     """Read DIMACS: ``p <format> <n> <m>`` and ``e <u> <v>`` lines, vertices
-    numbered from 1, ``c`` comment lines and blank lines; any other line is
-    an error that names its line."""
-    n = 0
-    pairs = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            tok = line.split() or ["c"]     # a blank line is a comment
-            try:
-                if tok[0] == "p" and len(tok) == 4:
-                    n, _ = int(tok[2]), int(tok[3])
-                elif tok[0] == "e" and len(tok) == 3:
-                    pairs.append((int(tok[1]) - 1, int(tok[2]) - 1))
-                elif tok[0] != "c":
-                    raise ValueError
-            except ValueError:
-                raise ParameterError(
-                    "line %d: expected 'p edge <n> <m>' or 'e <u> <v>', got %r"
-                    % (lineno, " ".join(tok))) from None
-    return Graph(n, pairs)
+    numbered from 1, ``c`` comment lines and blank lines.
+
+    The vertex count is ``n`` of the last ``p`` line, else 0.  Fields are
+    separated by spaces and tabs; integers and errors are the edge list's.
+    """
+    return _read_graph(path, _DIMACS)
 
 
 def generate(spec):

@@ -355,6 +355,10 @@ def read_realization(path):
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise ParameterError("realization 'points' must be a list of "
                              "coordinate lists")
+    for i, row in enumerate(rows):          # JSON numbers: no bool, no str
+        if any(type(x) not in (int, float) for x in row):
+            raise ParameterError("realization point %d must be a list of "
+                                 "numbers, got %r" % (i, row))
     n = obj.get("n", len(rows))
     for key, value in (("dim", obj["dim"]), ("n", n)):
         if type(value) is not int:      # bool, str and float are refused

@@ -320,6 +320,23 @@ def test_verify_rejects_malformed_header(capsys, tmp_path, header, fragment):
     assert_input_error(run(capsys, "verify", g, r), fragment)
 
 
+@pytest.mark.parametrize("points, fragment", [
+    ('[[0, 0], [0.5, "0.8660254037844386"]]', "point 1"),
+    ('[["1e0", 0], [1, 0]]', "point 0"),
+    ("[[true, false], [1, 0]]", "point 0"),
+    ("[[0, 0], [1, null]]", "point 1"),
+])
+def test_verify_rejects_coordinates_that_are_not_numbers(capsys, tmp_path,
+                                                         points, fragment):
+    # the first three verified, exit 0, before; null was a non-finite
+    # coordinate
+    g = write_text(tmp_path, "k2.txt", "n 2\n0 1\n")
+    r = write_text(tmp_path, "r.json",
+                   '{"norm": 2, "dim": 2, "points": %s}' % points)
+    assert_input_error(run(capsys, "verify", g, r), "realization %s must be "
+                       "a list of numbers" % fragment)
+
+
 @pytest.mark.parametrize("angles, fragments", [
     ("0 0\n1 2.0943951023931957\n", ["vertex 2"]),
     ("0 0\n1 2\n2 4\n3 1\n", ["line 4", "vertex 3 out of range"]),

@@ -384,6 +384,114 @@ def test_edge_list_large_mixed_file(tmp_path):
         write_and_read(tmp_path, "\n".join(lines) + "\n")
 
 
+def reference_read_dimacs(text):
+    """DIMACS read line by line, with ``split`` and ``int`` per token: the
+    reader before DIMACS went through the edge-list byte pass."""
+    n, pairs = 0, []
+    for lineno, line in enumerate(text.split("\n"), 1):
+        tok = line.split() or ["c"]         # a blank line is a comment
+        try:
+            if tok[0] == "p" and len(tok) == 4:
+                n, _ = int(tok[2]), int(tok[3])
+            elif tok[0] == "e" and len(tok) == 3:
+                pairs.append((int(tok[1]) - 1, int(tok[2]) - 1))
+            elif tok[0] != "c":
+                raise ValueError
+        except ValueError:
+            raise ParameterError(
+                "line %d: expected 'p edge <n> <m>' or 'e <u> <v>', got %r"
+                % (lineno, " ".join(tok))) from None
+    return Graph(n, pairs)
+
+
+_dimacs_pair = st.lists(st.integers(1, 6), min_size=2, max_size=2,
+                        unique=True).flatmap(
+    lambda uv: st.tuples(_token(uv[0], uv[0]), _token(uv[1], uv[1])))
+_dimacs_good_line = st.one_of(
+    *[st.tuples(_pad, st.just("e"), _gap, _dimacs_pair.map(" ".join),
+                _pad)] * 3,
+    st.tuples(_pad, st.just("p"), _gap, st.sampled_from(["edge", "col", "x"]),
+              _gap, _token(6, 12), _gap, _token(0, 40), _pad),
+    st.tuples(_pad, st.just("c"),
+              st.sampled_from(["", " x", "\tp edge 3 3", " e 1 2", " #"])),
+    st.tuples(_pad),                                                # blank
+).map("".join)
+_dimacs_odd_line = st.one_of(
+    st.tuples(_pad, st.just("e"), _gap, _token(0, 8), _gap, _token(0, 8)),
+    st.tuples(_pad, st.just("p"), _gap, st.just("edge"), _gap, _token(-1, 4),
+              _gap, _token(-1, 40), _pad),
+    st.tuples(_pad, st.sampled_from(["e 1", "e 1 2 3", "p edge 3", "p edge 3 x",
+                                     "p", "x", "0 1", "n 3", "cx", "e1 2",
+                                     "E 1 2", "e 1 2 # x", "c1", "e - 1"])),
+).map("".join)
+
+
+@st.composite
+def _dimacs_text(draw):
+    """A p line and good lines, usually, with up to two lines put in anywhere
+    that may break the grammar or the range of the vertices."""
+    lines = draw(st.lists(_dimacs_good_line, max_size=8))
+    if draw(st.booleans()) or draw(st.booleans()):
+        lines.insert(0, "p edge 6 9")
+    for line in draw(st.lists(_dimacs_odd_line, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def test_dimacs_matches_line_by_line_reference(tmp_path):
+    # on ASCII digits, space and tab, in the int64 range, the byte pass and
+    # the line loop agree on every graph and every error text
+    path = str(tmp_path / "g.col")
+
+    def outcome(read):
+        try:
+            g = read()
+        except ParameterError as exc:
+            return str(exc)
+        return g.n, g.edge_array.tolist()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_dimacs_text())
+    @example("")
+    @example("p edge 3 2\ne 1 2\ne 2 3")
+    @example("e 1 2\np edge 3 1\n")                 # e before p
+    @example("e 1 2\n")                             # no p line
+    @example("p edge 3 1\np edge 5 1\ne 4 5\n")     # the last p wins
+    @example("p edge 3 1\ne 0 1\n")                 # vertex 0
+    @example("p edge 3 1\ne +1 -2\n")
+    @example("c x\ncx\n")
+    def check(text):
+        with open(path, "w") as fh:
+            fh.write(text)
+        assert (outcome(lambda: read_dimacs(path))
+                == outcome(lambda: reference_read_dimacs(text)))
+
+    check()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p edge %s 1\ne 1 2\n" % ("9" * 5000),
+     "vertex count must be an integer in 0..3037000499"),
+    ("p edge 3 1\ne 99999999999999999999 2\n",
+     "line 2: endpoint 99999999999999999999 is out of range"),
+    ("p edge 3 1\ne -9223372036854775808 2\n",   # vertex -2**63 - 1
+     "line 2: endpoint -9223372036854775808 is out of range"),
+    ("p edge 3 1\ne 1_000 2\n", "line 2: expected 'p edge <n> <m>' or "
+     "'e <u> <v>', got 'e 1_000 2'"),
+    ("p edge 3 1\ne \u0661 2\n", "line 2: expected 'p edge <n> <m>' or "
+     "'e <u> <v>', got 'e \u0661 2'"),
+], ids=["5000-digit-count", "endpoint-past-int64", "vertex-past-int64",
+        "underscore", "arabic-indic-digit"])
+def test_dimacs_shares_the_edge_list_integer_rules(tmp_path, text, message):
+    # before, the 5,000-digit count echoed its line, the endpoints past int64
+    # named no line, and 1_000 and an Arabic-Indic digit were read by int()
+    path = str(tmp_path / "g.col")
+    with open(path, "w") as fh:
+        fh.write(text)
+    with pytest.raises(ParameterError, match="^%s$" % re.escape(message)):
+        read_dimacs(path)
+
+
 def test_dimacs_round_trip(tmp_path):
     g = petersen()
     path = str(tmp_path / "g.col")
