@@ -77,7 +77,7 @@ def _masks(n, pairs):
 
 def max_clique(g):
     """A maximum clique as a sorted vertex list."""
-    return _clique(_masks(g.n, g.edge_array), None)
+    return _clique(_masks(g.n, g.edge_array), math.inf)
 
 
 def _clique(adj, deadline):
@@ -86,9 +86,9 @@ def _clique(adj, deadline):
     Branch and bound on an explicit stack of [candidates, order, bounds]
     frames: candidates are greedily colored and the color count bounds the
     clique extension, pruning subtrees that cannot beat the incumbent.  Past
-    a ``deadline`` (a ``time.monotonic()`` value, or None), read at each new
-    frame once there is an incumbent, it stops with the largest clique found:
-    a maximal clique, of two or more vertices when there is an edge.
+    the ``deadline``, a ``time.monotonic()`` value read at each new frame
+    once there is an incumbent, it stops with the largest clique found: a
+    maximal clique, of two or more vertices when there is an edge.
     """
 
     def frame(cand_mask):
@@ -126,7 +126,7 @@ def _clique(adj, deadline):
             if len(clique) + 1 > len(best):
                 best = clique + [v]
             continue
-        if deadline is not None and best and time.monotonic() > deadline:
+        if best and time.monotonic() > deadline:
             break
         clique.append(v)
         stack.append(frame(sub))

@@ -307,7 +307,7 @@ def _read_graph(path, form):
         raise ParameterError("line %d: expected %s, got %r" % (
             text.count("\n", 0, head.end()) + 1
             + np.flatnonzero(other)[rest.count("\n", 0, bad.start())],
-            expected, " ".join(bad.group(1).split())))
+            expected, bad.group(1)))
     parts = re.split(cut, "\n" + rest)
     body = b" ".join([b[~in_rest].tobytes().replace(lead.encode(), b" " * k),
                       " ".join(parts[::2]).encode()])
@@ -351,7 +351,8 @@ def read_dimacs(path):
     """Read DIMACS: ``p <format> <n> <m>`` and ``e <u> <v>`` lines, vertices
     numbered from 1, ``c`` comment lines and blank lines.
 
-    The vertex count is ``n`` of the last ``p`` line, else 0.  Fields are
+    The vertex count is ``n`` of the last ``p`` line, else 0; ``m`` must be
+    an integer, but is never checked against the ``e`` lines.  Fields are
     separated by spaces and tabs; integers and errors are the edge list's.
     """
     return _read_graph(path, _DIMACS)

@@ -66,22 +66,19 @@ def _pair_index(n, edge_index):
     return iu, ju, pos, inc, np.bincount(pos, minlength=len(iu)) * 1.0
 
 
-def objective_and_grad(x, edge_index, beta, mu, p=2.0, pairs=None):
+def objective_and_grad(x, pairs, beta, mu, p):
     """Smoothed width + penalty and its analytic gradient.
 
-    x: (n, dim) points, or an (R, n, dim) batch; edge_index: (m, 2) int
-    array of distinct edges u != v, as in ``Graph.edge_array``; pairs:
-    ``_pair_index(n, edge_index)``, built here if omitted.
+    x: an (R, n, dim) batch of restarts; pairs: ``_pair_index(n,
+    edge_index)`` for the (m, 2) edges u != v of ``Graph.edge_array``.
     Objective: softmax_beta over the n(n-1)/2 pairwise distances plus
-    mu * sum over edges of max(0, 1 - dist)^2.  Returns a float and an
-    (n, dim) gradient, or (R,) values and an (R, n, dim) gradient.
-    The hinge is masked to the edges, so it folds into the pair weights.
+    mu * sum over edges of max(0, 1 - dist)^2.  Returns (R,) values and an
+    (R, n, dim) gradient.  The hinge is masked to the edges, so it folds
+    into the pair weights.
     """
-    if pairs is None:
-        pairs = _pair_index(x.shape[-2], edge_index)
     iu, ju, pos, inc, on_edge = pairs
     # take keeps the result C-ordered, so every sum over pairs runs in
-    # the same order for a lone restart as for a row of a batch
+    # the same order for a row whatever its batch
     diff = x.take(iu, axis=-2) - x.take(ju, axis=-2)
     d = np.maximum(lp_lengths(diff, p), _TIE_EPS)
     m = d.max(axis=-1)
@@ -98,11 +95,12 @@ def objective_and_grad(x, edge_index, beta, mu, p=2.0, pairs=None):
     else:
         ddist = np.sign(diff) * (np.abs(diff) / d[..., None]) ** (p - 1.0)
     grad = inc @ (w[..., None] * ddist)
-    return (float(f) if x.ndim == 2 else f), grad
+    return f, grad
 
 
-def _descend(x, edge_index, pairs, beta, mu, p, iters):
-    """Backtracking gradient descent on an (R, n, dim) batch of restarts.
+def _descend(x, pairs, beta, mu, p, iters):
+    """Backtracking gradient descent on an (R, n, dim) batch of restarts,
+    whose edges the ``_pair_index`` table ``pairs`` gives.
 
     Each restart keeps its own step and Armijo test and stops on its own:
     squared gradient norm below 1e-24 (counting one more iteration),
@@ -118,7 +116,7 @@ def _descend(x, edge_index, pairs, beta, mu, p, iters):
     out, used = np.empty_like(x), np.full(len(x), iters)
     live = np.arange(len(x))            # the rows in x of the live restarts
     first, rungs = _LADDER * live, 0.5 ** np.arange(_LADDER)
-    f, g = objective_and_grad(x, edge_index, beta, mu, p, pairs)
+    f, g = objective_and_grad(x, pairs, beta, mu, p)
     step, gain = np.full(len(x), 0.1), np.full(len(x), np.inf)
 
     def attempt(x, g, f, gn2, t):
@@ -126,7 +124,7 @@ def _descend(x, edge_index, pairs, beta, mu, p, iters):
         tr = t[:, None] * rungs
         xn = (x[:, None] - tr[..., None, None] * g[:, None]
               ).reshape(-1, *x.shape[1:])
-        fn, gn = objective_and_grad(xn, edge_index, beta, mu, p, pairs)
+        fn, gn = objective_and_grad(xn, pairs, beta, mu, p)
         ok = fn.reshape(tr.shape) <= f[:, None] - 1e-4 * tr * gn2[:, None]
         pick = first[:len(t)] + ok.argmax(axis=1)
         return (ok.any(axis=1), xn[pick], fn[pick], gn[pick],
@@ -176,8 +174,7 @@ def optimize(g, cfg):
     """
     if g.m == 0:
         raise ParameterError("optimization needs at least one edge")
-    edge_index = g.edge_array
-    pairs = _pair_index(g.n, edge_index)
+    pairs = _pair_index(g.n, g.edge_array)
     # p = 64 is a smooth stand-in for the max norm; the final evaluate is exact
     p = 64.0 if cfg.norm.p == INF else cfg.norm.p
     chi_greedy = greedy_dsatur(g).k
@@ -187,7 +184,7 @@ def optimize(g, cfg):
         0.0, box, size=(g.n, cfg.norm.dim)) for restart in range(cfg.restarts)])
     iters = np.zeros(cfg.restarts, dtype=int)
     for beta, mu in zip(_BETAS, _MUS):
-        x, used = _descend(x, edge_index, pairs, beta, mu, p, _STAGE_ITERS)
+        x, used = _descend(x, pairs, beta, mu, p, _STAGE_ITERS)
         iters += used
 
     best = None
@@ -234,18 +231,13 @@ def brute_force(g, resolution):
     eps = 1e-12
     best_width, best_points = math.inf, None
 
-    def lengths(xs, ys, q):
-        """L2 distances from the points (xs, ys) to the point q."""
-        dx, dy = xs - q[0], ys - q[1]
-        return np.sqrt(dx * dx + dy * dy)
-
     def allowed(v, xs, ys, cols, on_axis):
         """Mask of the points where vertex v keeps unit edges and the
-        symmetry: vertex 1 on the nonnegative x axis, and nothing below it
-        while everything so far is on the x axis."""
+        symmetry: vertex 0 at the origin, vertex 1 on the nonnegative x
+        axis, and none below that axis while all so far are on it."""
         mask = ys >= 0.0 if on_axis else np.ones(len(ys), dtype=bool)
-        if v == 1:
-            mask &= (ys == 0.0) & (xs >= 0.0)
+        if v < 2:
+            mask &= (ys == 0.0) & ((xs == 0.0) if v == 0 else (xs >= 0.0))
         for u in earlier[v]:
             mask &= cols[u] >= 1.0 - eps
         return mask
@@ -278,13 +270,12 @@ def brute_force(g, resolution):
             if reach[ci] >= best_width - eps:
                 break
             q = (xs[cand[ci]], ys[cand[ci]])
-            col = lengths(xs, ys, q)
+            col = np.sqrt((xs - q[0]) ** 2 + (ys - q[1]) ** 2)
             place(v + 1, points + [q], xs, ys, cols + [col],
                   np.maximum(far, col), float(reach[ci]),
                   on_axis and q[1] == 0.0)
 
-    col0 = lengths(xs, ys, (0.0, 0.0))
-    place(1, [(0.0, 0.0)], xs, ys, [col0], col0, 0.0, True)
+    place(0, [], xs, ys, [], np.zeros(len(xs)), 0.0, True)
     if best_points is None:
         raise InternalConsistencyError("oracle found no feasible grid placement")
     return best_width, Realization(best_points, L2)

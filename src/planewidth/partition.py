@@ -153,9 +153,9 @@ def _euclidean_width(g, r):
 def extract_coloring(g, r, scheme):
     """Proper coloring from a realization via a unit-scale partition.
 
-    The arrangement is scaled to unit diameter and partitioned; pieces are
-    1-small at the original scale whenever the width is at most the scheme
-    threshold, so no edge can be monochromatic.
+    The arrangement is scaled to unit diameter, unless its points coincide,
+    and partitioned; pieces are 1-small at the original scale whenever the
+    width is at most the scheme threshold, so no edge is monochromatic.
     """
     if scheme not in SCHEME_THRESHOLD:
         raise ParameterError(_BAD_SCHEME)
@@ -164,9 +164,7 @@ def extract_coloring(g, r, scheme):
     if d > thr + 1e-9:
         raise CertificateError("width %.12g exceeds scheme-%d threshold %.12g"
                                % (d, scheme, thr))
-    if d == 0.0:
-        return Coloring([0] * g.n)
-    return _compact(partition_unit(r.coords / d, scheme))
+    return _compact(partition_unit(r.coords / (d or 1.0), scheme))
 
 
 def _compact(labels):

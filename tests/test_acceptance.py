@@ -16,7 +16,9 @@ from planewidth.graphs import (
     circulant, circle_star, circle_star_points, complete, graph_from_edges,
     odd_wheel, petersen,
 )
-from planewidth.optimizer import OptimizeConfig, brute_force, objective_and_grad, optimize
+from planewidth.optimizer import (
+    OptimizeConfig, _pair_index, brute_force, objective_and_grad, optimize,
+)
 from planewidth.partition import (
     extract_coloring, partition_unit, tiling_color_cap, tiling_coloring,
     tiling_parameter,
@@ -298,15 +300,21 @@ def test_criterion_11_gradient_check():
         x = rng.uniform(-2, 2, size=(n, 2))
         beta = float(rng.uniform(5, 500))
         mu = float(rng.uniform(0.5, 1000))
-        _, grad = objective_and_grad(x, edge_index, beta, mu)
+        pairs = _pair_index(n, edge_index)
+
+        def f_and_grad(x):
+            f, grad = objective_and_grad(x[None], pairs, beta, mu, 2.0)
+            return f[0], grad[0]
+
+        _, grad = f_and_grad(x)
         h = 1e-6
         num = np.zeros_like(x)
         for i in range(n):
             for d in range(2):
                 xp = x.copy(); xp[i, d] += h
                 xm = x.copy(); xm[i, d] -= h
-                fp, _ = objective_and_grad(xp, edge_index, beta, mu)
-                fm, _ = objective_and_grad(xm, edge_index, beta, mu)
+                fp, _ = f_and_grad(xp)
+                fm, _ = f_and_grad(xm)
                 num[i, d] = (fp - fm) / (2 * h)
         scale = max(1.0, float(np.abs(grad).max()))
         worst = max(worst, float(np.abs(grad - num).max()) / scale)

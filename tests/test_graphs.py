@@ -353,6 +353,9 @@ def test_edge_list_matches_line_by_line_reference(tmp_path):
     @example("0 1\n\n")
     @example("5\n0 1\n2 3")
     @example("0 1\n\u0663 1\n")          # an Arabic-Indic digit is no digit
+    @example("0\f1\n")                  # a form feed is no separator
+    @example("n 3\n0 1\n1\v2\n")         # nor is a vertical tab
+    @example("n\f3\n")
     def check(text):
         expected = reference_read(text)
         if isinstance(expected, int):
@@ -400,7 +403,7 @@ def reference_read_dimacs(text):
         except ValueError:
             raise ParameterError(
                 "line %d: expected 'p edge <n> <m>' or 'e <u> <v>', got %r"
-                % (lineno, " ".join(tok))) from None
+                % (lineno, line)) from None
     return Graph(n, pairs)
 
 
@@ -490,6 +493,29 @@ def test_dimacs_shares_the_edge_list_integer_rules(tmp_path, text, message):
         fh.write(text)
     with pytest.raises(ParameterError, match="^%s$" % re.escape(message)):
         read_dimacs(path)
+
+
+@pytest.mark.parametrize("read, text, message", [
+    (read_edge_list, "0\f1\n",
+     "line 1: expected 'n <count>' or '<u> <v>', got '0\\x0c1'"),
+    (read_edge_list, "n 3\n 0\t1 2  # c\n",
+     "line 2: expected 'n <count>' or '<u> <v>', got ' 0\\t1 2  '"),
+    (read_dimacs, "p edge 3 1\ne\f1 2\n",
+     "line 2: expected 'p edge <n> <m>' or 'e <u> <v>', got 'e\\x0c1 2'"),
+    (read_dimacs, "p edge 3 1\ne 1\v2\n",
+     "line 2: expected 'p edge <n> <m>' or 'e <u> <v>', got 'e 1\\x0b2'"),
+    (read_dimacs, "p edge 3 1\n\te  1 2 3 \n",
+     "line 2: expected 'p edge <n> <m>' or 'e <u> <v>', got '\\te  1 2 3 '"),
+], ids=["edge-list-form-feed", "edge-list-blanks", "dimacs-form-feed",
+        "dimacs-vertical-tab", "dimacs-blanks"])
+def test_readers_echo_refused_lines_as_read(tmp_path, read, text, message):
+    # a form feed or a vertical tab is no separator, so the refused line is
+    # echoed with its whitespace as read, not collapsed to single spaces
+    path = str(tmp_path / "g.txt")
+    with open(path, "w") as fh:
+        fh.write(text)
+    with pytest.raises(ParameterError, match="^%s$" % re.escape(message)):
+        read(path)
 
 
 def test_dimacs_round_trip(tmp_path):

@@ -23,6 +23,14 @@ def small_cfg(restarts=6, seed=0):
     return OptimizeConfig(restarts=restarts, seed=seed)
 
 
+def one_restart(x, edge_index, beta, mu, p=2.0):
+    """``objective_and_grad`` on the lone (n, dim) restart x, as a batch of
+    one: its value and its (n, dim) gradient."""
+    pairs = optimizer._pair_index(len(x), edge_index)
+    f, grad = objective_and_grad(x[None], pairs, beta, mu, p)
+    return f[0], grad[0]
+
+
 def test_config_validation():
     with pytest.raises(ParameterError):
         OptimizeConfig(restarts=0)
@@ -94,15 +102,15 @@ def _finite_difference_error(rng, p, trials):
         x = rng.uniform(-1.5, 1.5, size=(n, 2))
         beta = float(rng.uniform(5, 200))
         mu = float(rng.uniform(0.5, 100))
-        f, grad = objective_and_grad(x, edge_index, beta, mu, p)
+        f, grad = one_restart(x, edge_index, beta, mu, p)
         h = 1e-6
         num = np.zeros_like(x)
         for i in range(n):
             for d in range(2):
                 xp = x.copy(); xp[i, d] += h
                 xm = x.copy(); xm[i, d] -= h
-                fp, _ = objective_and_grad(xp, edge_index, beta, mu, p)
-                fm, _ = objective_and_grad(xm, edge_index, beta, mu, p)
+                fp, _ = one_restart(xp, edge_index, beta, mu, p)
+                fm, _ = one_restart(xm, edge_index, beta, mu, p)
                 num[i, d] = (fp - fm) / (2 * h)
         scale = max(1.0, float(np.abs(grad).max()))
         worst = max(worst, float(np.abs(grad - num).max()) / scale)
@@ -127,7 +135,7 @@ def test_max_norm_objective_finite():
     same = np.array([[0.0, 0.0], [0.0, 0.0], [1e-9, 0.0], [0.3, 0.0]])
     for x in (shared, same):
         for beta, mu in ((10.0, 1.0), (1000.0, 1e6)):
-            f, grad = objective_and_grad(x, edge_index, beta, mu, 64.0)
+            f, grad = one_restart(x, edge_index, beta, mu, 64.0)
             assert np.isfinite(f) and np.all(np.isfinite(grad))
 
 
@@ -135,7 +143,7 @@ def test_max_norm_underflow_stays_finite():
     """Under p = 64, 3e-6 ** 64 underflows to 0; the length must still be
     3e-6, not the 1e-12 floor, or (|diff| / d) ** 63 overflows."""
     x = np.array([[0.0, 0.0], [3e-6, 0.0]])
-    f, grad = objective_and_grad(x, complete(2).edge_array, 10.0, 1.0, 64.0)
+    f, grad = one_restart(x, complete(2).edge_array, 10.0, 1.0, 64.0)
     assert f == pytest.approx(3e-6 + (1.0 - 3e-6) ** 2, rel=1e-12)
     w = 1.0 - 2.0 * (1.0 - 3e-6)        # softmax weight minus the hinge
     assert np.allclose(grad, [[-w, 0.0], [w, 0.0]], rtol=1e-12, atol=0.0)
@@ -165,11 +173,12 @@ def test_batch_matches_single_calls():
     rng = np.random.default_rng(5)
     g = odd_wheel(5)
     x = rng.uniform(0.0, 3.0, size=(7, g.n, 2))
+    pairs = optimizer._pair_index(g.n, g.edge_array)
     for p in (2.0, 64.0):
-        f, grad = objective_and_grad(x, g.edge_array, 50.0, 10.0, p)
+        f, grad = objective_and_grad(x, pairs, 50.0, 10.0, p)
         assert f.shape == (7,) and grad.shape == x.shape
         for r in range(len(x)):
-            fr, gr = objective_and_grad(x[r], g.edge_array, 50.0, 10.0, p)
+            fr, gr = one_restart(x[r], g.edge_array, 50.0, 10.0, p)
             assert f[r] == fr
             assert np.array_equal(grad[r], gr)
 
@@ -288,11 +297,11 @@ def test_oracle_matches_enumeration(g, resolution):
 # The batched backtracking ladder
 
 
-def reference_descend(x, edge_index, pairs, beta, mu, p, iters):
+def reference_descend(x, pairs, beta, mu, p, iters):
     """``_descend`` trying one halving per objective call, as it was before
     the ladder: the steps, stops and iteration counts it must reproduce."""
     x = x.copy()
-    f, g = objective_and_grad(x, edge_index, beta, mu, p, pairs)
+    f, g = objective_and_grad(x, pairs, beta, mu, p)
     step = np.full(len(x), 0.1)
     used = np.zeros(len(x), dtype=int)
     live = np.arange(len(x))
@@ -309,7 +318,7 @@ def reference_descend(x, edge_index, pairs, beta, mu, p, iters):
         for _ in range(30):
             rows = live[pending]
             xn = x[rows] - t[pending, None, None] * g[rows]
-            fn, gn = objective_and_grad(xn, edge_index, beta, mu, p, pairs)
+            fn, gn = objective_and_grad(xn, pairs, beta, mu, p)
             ok = fn <= f[rows] - 1e-4 * t[pending] * gn2[pending]
             done, rows = pending[ok], rows[ok]
             gain[done] = f[rows] - fn[ok]
@@ -336,8 +345,8 @@ def test_ladder_matches_one_halving_per_call(p):
         pairs = optimizer._pair_index(n, g.edge_array)
         x = rng.uniform(0.0, 3.0, size=(5, n, 2))
         for beta, mu in zip(optimizer._BETAS, optimizer._MUS):
-            want = reference_descend(x, g.edge_array, pairs, beta, mu, p, 60)
-            got = optimizer._descend(x, g.edge_array, pairs, beta, mu, p, 60)
+            want = reference_descend(x, pairs, beta, mu, p, 60)
+            got = optimizer._descend(x, pairs, beta, mu, p, 60)
             assert got[0].tobytes() == want[0].tobytes()
             assert np.array_equal(got[1], want[1])
             x = got[0]
@@ -349,7 +358,7 @@ def test_ladder_halvings_in_order(monkeypatch):
     in its next iteration, where no step gains."""
     tried = []
 
-    def stub(x, edge_index, beta, mu, p, pairs):
+    def stub(x, pairs, beta, mu, p):
         v = x[:, 0, 0]
         tried.append(v.copy())
         gains = (v > 5.0) & (10.0 - v <= 1.5 * 0.1 / 16)
@@ -358,7 +367,7 @@ def test_ladder_halvings_in_order(monkeypatch):
 
     monkeypatch.setattr(optimizer, "objective_and_grad", stub)
     x0 = np.array([0.0, 10.0]).reshape(2, 1, 1)
-    x, used = optimizer._descend(x0, None, None, 10.0, 1.0, 2.0, 5)
+    x, used = optimizer._descend(x0, None, 10.0, 1.0, 2.0, 5)
     calls = tried[1:]
     assert [len(v) for v in calls] == [6, 6] + [3] * 8 + [3] * 10
     steps = -np.concatenate([v[v < 5.0] for v in calls])
@@ -379,14 +388,12 @@ def test_packed_live_set_matches_reference():
     x = np.random.default_rng(3).uniform(0.0, 3.0, size=(8, g.n, 2))
     x[6] = 1.5
     x[7, 2, 0] = np.nan
-    assert not objective_and_grad(x[6], g.edge_array, beta, mu)[1].any()
+    assert not one_restart(x[6], g.edge_array, beta, mu)[1].any()
     counts = {}
     for rows, iters in [(slice(None), 85), (slice(None), 1), (slice(4, 5), 85),
                         (slice(6, 7), 85), (slice(4, 5), 80)]:
-        want = reference_descend(x[rows], g.edge_array, pairs, beta, mu, 2.0,
-                                 iters)
-        got = optimizer._descend(x[rows], g.edge_array, pairs, beta, mu, 2.0,
-                                 iters)
+        want = reference_descend(x[rows], pairs, beta, mu, 2.0, iters)
+        got = optimizer._descend(x[rows], pairs, beta, mu, 2.0, iters)
         assert got[0].tobytes() == want[0].tobytes()
         assert np.array_equal(got[1], want[1])
         counts[rows.start, iters] = got
@@ -394,8 +401,8 @@ def test_packed_live_set_matches_reference():
     assert counts[None, 1][1].tolist() == [1] * 8
     # restart 4's last step is accepted, and gains less than _TOL
     before, last = counts[4, 80][0], counts[4, 85][0]
-    f0 = objective_and_grad(before[0], g.edge_array, beta, mu)[0]
-    f1 = objective_and_grad(last[0], g.edge_array, beta, mu)[0]
+    f0 = one_restart(before[0], g.edge_array, beta, mu)[0]
+    f1 = one_restart(last[0], g.edge_array, beta, mu)[0]
     assert 0.0 < f0 - f1 < optimizer._TOL
 
 

@@ -292,6 +292,15 @@ def test_tiling_zero_width_single_cell():
     assert c.k == 1 and t == 1
 
 
+@pytest.mark.parametrize("scheme", [3, 4, 7])
+def test_extract_coloring_zero_width(scheme):
+    # coincident points, width 0, go unscaled into one piece
+    for n in (0, 1, 3):
+        r = Realization(np.full((n, 2), 0.25))
+        c = extract_coloring(graph_from_edges(n, []), r, scheme)
+        assert c.colors == (0,) * n
+
+
 # columns: the unit cell-center steps of the tiling, 60 degrees apart
 HEX_BASIS = np.array([[1.0, 0.5], [0.0, math.sqrt(3) / 2]])
 
